@@ -79,27 +79,12 @@ class _Node:
         self.vjp = vjp
 
 
-class Graph:
-    """Append-only record of one forward pass; acyclic because inputs precede outputs."""
-
-    def __init__(self) -> None:
-        self.nodes: list[_Node] = []
-
-    def append(self, node: _Node) -> None:
-        self.nodes.append(node)
-
-    def clear(self) -> None:
-        self.nodes.clear()
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-
-_graph = Graph()
+# Append-only record of the forward pass; acyclic because inputs precede outputs.
+_graph: list[_Node] = []
 _grad_enabled = True
 
 
-def active_graph() -> Graph:
+def active_graph() -> list[_Node]:
     return _graph
 
 
@@ -318,15 +303,6 @@ OPS: dict[str, Callable[..., Tensor]] = {
 }
 
 
-def forward(op_kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
-    """Dispatch an operation by name; raises on unknown kinds."""
-    try:
-        op = OPS[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind: {op_kind!r}") from None
-    return op(*inputs, **attrs)
-
-
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------
@@ -338,17 +314,16 @@ def backward(loss: Tensor) -> None:
     """
     if loss.shape != ():
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    nodes = _graph.nodes
     start = None
-    for i in range(len(nodes) - 1, -1, -1):
-        if nodes[i].output is loss:
+    for i in range(len(_graph) - 1, -1, -1):
+        if _graph[i].output is loss:
             start = i
             break
     if start is None:
         raise ValueError("backward: loss is not on the active graph")
 
     pending: dict[int, Array] = {id(loss): np.ones(())}
-    for node in reversed(nodes[: start + 1]):
+    for node in reversed(_graph[: start + 1]):
         g = pending.pop(id(node.output), None)
         if g is None:
             continue
@@ -422,13 +397,6 @@ class AdamState:
                   for a, p in zip(state["m"], self.params)]
         self.v = [np.asarray(a, dtype=np.float64).reshape(p.data.shape)
                   for a, p in zip(state["v"], self.params)]
-
-
-def adam_step(params: Sequence[Tensor], state: AdamState) -> None:
-    """One Adam update on ``state``'s bound parameters; they must match ``params``."""
-    if list(params) != state.params:
-        raise ValueError("adam_step: parameter list does not match optimizer state")
-    state.step()
 
 
 def clip_weights(params: Iterable[Tensor], c: float) -> None:

@@ -18,12 +18,22 @@ from .dataset import (DatasetBundle, SyntheticSpec, atomic_write_text,
 
 SEED_ENV_VAR = "MKFUSION_SEED"
 
+# gen-data setting -> default; each is also a flag of the same name.
+GEN_DATA_DEFAULTS = {"families": 3, "genera": 3, "species": 4, "samples": 20,
+                     "vis_dim": 32, "sem_dim": 16, "unseen_frac": 0.17, "seed": 1}
+# SyntheticSpec scales that only a config file sets.
+SCALE_KEYS = ("sigma_family", "sigma_genus", "sigma_species", "noise_std",
+              "semantic_noise_std")
+# TrainConfig fields that also have a flag.
+TRAIN_FLAGS = ("steps", "n_nfg", "kappa1", "kappa2", "lam", "seed")
+
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, known: tuple[str, ...]) -> dict:
+    """The JSON object in ``path`` ({} without one); keys outside ``known`` are an error."""
     if path is None:
         return {}
     with open(path) as handle:
@@ -33,17 +43,21 @@ def _load_config_file(path: str | None) -> dict:
             raise ValueError(f"malformed config file {path}: {err}") from None
     if not isinstance(document, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(document) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys in config file {path}: {', '.join(unknown)}")
     return document
 
 
-def _resolve(flag_value, config: dict, key: str, default, env_var: str | None = None):
-    """Precedence: explicit flag, then config file, then environment, then default."""
+def _resolve(flag_value, config: dict, key: str, default):
+    """Precedence: explicit flag, then config file, then ``MKFUSION_SEED`` for
+    the seed, then default."""
     if flag_value is not None:
         return flag_value
     if key in config:
         return config[key]
-    if env_var is not None and os.environ.get(env_var):
-        return int(os.environ[env_var])
+    if key == "seed" and os.environ.get(SEED_ENV_VAR):
+        return int(os.environ[SEED_ENV_VAR])
     return default
 
 
@@ -82,20 +96,10 @@ def _load_bundle_for_checkpoint(data_path: str,
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     started = _utc_now()
-    config = _load_config_file(args.config)
-    resolved = {
-        "families": int(_resolve(args.families, config, "families", 3)),
-        "genera": int(_resolve(args.genera, config, "genera", 3)),
-        "species": int(_resolve(args.species, config, "species", 4)),
-        "samples": int(_resolve(args.samples, config, "samples", 20)),
-        "vis_dim": int(_resolve(args.vis_dim, config, "vis_dim", 32)),
-        "sem_dim": int(_resolve(args.sem_dim, config, "sem_dim", 16)),
-        "unseen_frac": float(_resolve(args.unseen_frac, config, "unseen_frac", 0.17)),
-        "seed": int(_resolve(args.seed, config, "seed", 1, env_var=SEED_ENV_VAR)),
-    }
-    scales = {key: config[key] for key in
-              ("sigma_family", "sigma_genus", "sigma_species", "noise_std",
-               "semantic_noise_std") if key in config}
+    config = _load_config_file(args.config, (*GEN_DATA_DEFAULTS, *SCALE_KEYS))
+    resolved = {key: type(default)(_resolve(getattr(args, key), config, key, default))
+                for key, default in GEN_DATA_DEFAULTS.items()}
+    scales = {key: config[key] for key in SCALE_KEYS if key in config}
     spec = SyntheticSpec(families=resolved["families"],
                          genera_per_family=resolved["genera"],
                          species_per_genus=resolved["species"],
@@ -113,26 +117,23 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _train_config_from(args: argparse.Namespace, config: dict) -> tr.TrainConfig:
-    fields = {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)}
-    values = dict(fields)
-    for key in fields:
-        if key in config:
-            values[key] = config[key]
-    if "lambda" in config:
-        values["lam"] = config["lambda"]
-    values["steps"] = int(_resolve(args.steps, config, "steps", fields["steps"]))
-    values["n_nfg"] = int(_resolve(args.n_nfg, config, "n_nfg", fields["n_nfg"]))
-    values["kappa1"] = float(_resolve(args.kappa1, config, "kappa1", fields["kappa1"]))
-    values["kappa2"] = float(_resolve(args.kappa2, config, "kappa2", fields["kappa2"]))
-    values["lam"] = float(_resolve(args.lam, config, "lambda", values["lam"]))
-    values["seed"] = int(_resolve(args.seed, config, "seed", fields["seed"],
-                                  env_var=SEED_ENV_VAR))
+    """Each field from its flag, else the config file (``lambda`` before ``lam``),
+    else ``MKFUSION_SEED`` for the seed, else the field's default."""
+    values = {}
+    for f in dataclasses.fields(tr.TrainConfig):
+        key = "lambda" if f.name == "lam" and "lambda" in config else f.name
+        if f.name in TRAIN_FLAGS:
+            values[f.name] = type(f.default)(
+                _resolve(getattr(args, f.name), config, key, f.default))
+        else:
+            values[f.name] = config.get(key, f.default)
     return tr.TrainConfig(**values)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     started = _utc_now()
-    config_file = _load_config_file(args.config)
+    config_file = _load_config_file(
+        args.config, (*(f.name for f in dataclasses.fields(tr.TrainConfig)), "lambda"))
     resume_state = None
     if args.resume is not None:
         resume_state = tr.restore_checkpoint(args.resume)
@@ -158,7 +159,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     started = _utc_now()
-    config = _load_config_file(args.config)
+    config = _load_config_file(args.config, ("n_syn", "mode"))
     n_syn = int(_resolve(args.n_syn, config, "n_syn", ev.DEFAULT_N_SYN))
     mode = str(_resolve(args.mode, config, "mode", "gzsl"))
     if mode not in ("zsl", "gzsl"):
@@ -200,7 +201,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     started = _utc_now()
-    config = _load_config_file(args.config)
+    config = _load_config_file(args.config, ("k", "n_syn"))
     k = int(_resolve(args.k, config, "k", ev.DEFAULT_TOP_K))
     n_syn = int(_resolve(args.n_syn, config, "n_syn", ev.DEFAULT_N_SYN))
     state = tr.restore_checkpoint(args.checkpoint)

@@ -74,24 +74,20 @@ class Metrics:
     retrieval_precision: float
     per_class_correct: dict[int, int] = field(default_factory=dict)
 
+    def named_values(self) -> list[tuple[str, float]]:
+        """Reported name and value of every scalar metric, in output order."""
+        return [("top1_unseen", self.top1_unseen), ("S", self.seen_accuracy),
+                ("U", self.unseen_accuracy), ("H", self.harmonic),
+                ("H_best", self.best_harmonic), ("gamma_best", self.best_gamma),
+                ("AUSUC", self.ausuc),
+                ("retrieval_precision_at_k", self.retrieval_precision)]
+
     def to_text(self) -> str:
-        lines = [f"top1_unseen={self.top1_unseen!r}",
-                 f"S={self.seen_accuracy!r}",
-                 f"U={self.unseen_accuracy!r}",
-                 f"H={self.harmonic!r}",
-                 f"H_best={self.best_harmonic!r}",
-                 f"gamma_best={self.best_gamma!r}",
-                 f"AUSUC={self.ausuc!r}",
-                 f"retrieval_precision_at_k={self.retrieval_precision!r}"]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{name}={value!r}\n" for name, value in self.named_values())
 
     def to_csv(self) -> str:
-        names = ("top1_unseen", "S", "U", "H", "H_best", "gamma_best", "AUSUC",
-                 "retrieval_precision_at_k")
-        values = (self.top1_unseen, self.seen_accuracy, self.unseen_accuracy,
-                  self.harmonic, self.best_harmonic, self.best_gamma, self.ausuc,
-                  self.retrieval_precision)
-        return (",".join(names) + "\n" + ",".join(repr(v) for v in values) + "\n")
+        names, values = zip(*self.named_values())
+        return ",".join(names) + "\n" + ",".join(map(repr, values)) + "\n"
 
 
 def synthesize_prototypes(model: FusionGan, semantics: dict[int, Array],
@@ -219,25 +215,36 @@ def retrieve_topk(prototypes: ClassPrototypes, pool: Array, class_id: int,
 # Whole-bundle evaluation drivers
 # ---------------------------------------------------------------------------
 
+def _unseen_top1(prototypes: ClassPrototypes, bundle: DatasetBundle
+                 ) -> tuple[float, dict[int, int]]:
+    """Top-1 accuracy of unseen samples among the unseen classes' prototypes,
+    with the number of correct samples per unseen class."""
+    ids = bundle.unseen_ids
+    unseen = ClassPrototypes({c: prototypes.prototypes[c] for c in ids}, prototypes.n_syn)
+    y = bundle.unseen_sample_species()
+    predictions = classify_top1(unseen, bundle.unseen_visuals())
+    per_class = {c: int(((predictions == y) & (y == c)).sum()) for c in ids}
+    return float((predictions == y).mean()), per_class
+
+
 def evaluate_zsl(model: FusionGan, bundle: DatasetBundle, n_syn: int = DEFAULT_N_SYN,
                  seed: int = 0, fusion_mode: str = "adaptive"
                  ) -> tuple[float, dict[int, int], ClassPrototypes]:
     """Unseen-only protocol: classify unseen samples among unseen classes."""
     semantics = {c: bundle.semantic_for(c) for c in bundle.unseen_ids}
     prototypes = synthesize_prototypes(model, semantics, n_syn, seed, fusion_mode)
-    x = bundle.unseen_visuals()
-    y = bundle.unseen_sample_species()
-    predictions = classify_top1(prototypes, x)
-    per_class = {c: int(((predictions == y) & (y == c)).sum())
-                 for c in bundle.unseen_ids}
-    return float((predictions == y).mean()), per_class, prototypes
+    top1, per_class = _unseen_top1(prototypes, bundle)
+    return top1, per_class, prototypes
 
 
 def evaluate_gzsl(model: FusionGan, bundle: DatasetBundle, n_syn: int = DEFAULT_N_SYN,
                   seed: int = 0, fusion_mode: str = "adaptive",
                   top_k: int = DEFAULT_TOP_K) -> tuple[Metrics, SeenUnseenCurve]:
     """Joint protocol over all classes, reporting uncalibrated accuracies,
-    the best-offset harmonic mean, curve area, and retrieval precision."""
+    the best-offset harmonic mean, curve area, and retrieval precision.
+
+    ``top1_unseen`` reuses the unseen prototypes: each class draws its own
+    noise stream, so they equal what ``evaluate_zsl`` synthesizes."""
     semantics = {c.species_id: c.semantic for c in bundle.classes}
     prototypes = synthesize_prototypes(model, semantics, n_syn, seed, fusion_mode)
     seen_x, seen_y = bundle.seen_visuals(), bundle.seen_sample_species()
@@ -250,7 +257,7 @@ def evaluate_gzsl(model: FusionGan, bundle: DatasetBundle, n_syn: int = DEFAULT_
     h_values = [harmonic_mean(s, u) for s, u in
                 zip(curve.seen_accuracy, curve.unseen_accuracy)]
     best = int(np.argmax(h_values))
-    top1_unseen, per_class, _ = evaluate_zsl(model, bundle, n_syn, seed, fusion_mode)
+    top1_unseen, per_class = _unseen_top1(prototypes, bundle)
     precision = retrieval_precision(prototypes, unseen_x, unseen_y,
                                     bundle.unseen_ids, top_k)
     metrics = Metrics(top1_unseen=top1_unseen, seen_accuracy=s0, unseen_accuracy=u0,

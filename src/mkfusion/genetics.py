@@ -57,14 +57,10 @@ class GeneticDraw:
         return cls(dim=dim, r1=r1, r2=r2, loc1=loc1, loc2=loc2)
 
 
-def mutate(t_a: Array, rng: np.random.Generator,
-           draw: GeneticDraw | None = None) -> Array:
+def mutate(t_a: Array, rng: np.random.Generator, draw: GeneticDraw) -> Array:
     """Shrink nonzero entries (multiply by fresh r in [0, 1)) or fill zero
     entries (add fresh r) at the drawn positions; all others stay put."""
-    t_a = np.asarray(t_a, dtype=np.float64)
-    if draw is None:
-        draw = GeneticDraw.sample(len(t_a), rng)
-    out = t_a.copy()
+    out = np.array(t_a, dtype=np.float64)
     for position in draw.loc1:
         r = float(rng.uniform())
         if out[position] != 0.0:
@@ -75,14 +71,12 @@ def mutate(t_a: Array, rng: np.random.Generator,
 
 
 def crossover(t_a: Array, t_b: Array, rng: np.random.Generator,
-              draw: GeneticDraw | None = None) -> Array:
+              draw: GeneticDraw) -> Array:
     """Copy of ``t_a`` with the drawn positions replaced by ``t_b``'s entries."""
     t_a = np.asarray(t_a, dtype=np.float64)
     t_b = np.asarray(t_b, dtype=np.float64)
     if t_a.shape != t_b.shape:
         raise ValueError(f"crossover: shape mismatch {t_a.shape} vs {t_b.shape}")
-    if draw is None:
-        draw = GeneticDraw.sample(len(t_a), rng)
     out = t_a.copy()
     out[draw.loc2] = t_b[draw.loc2]
     return out
@@ -183,11 +177,6 @@ def stability_scores(offspring: Array, model: FusionGan, center_rows: Array,
     with ad.no_grad():
         _, fused, _ = model.generate_fused(offspring, z, fusion_mode=fusion_mode)
     return cosine_rows(fused.data, center_rows)
-
-
-def stability(t_new: Array, model: FusionGan, center: Array,
-              rng: np.random.Generator, fusion_mode: str = "adaptive") -> float:
-    return float(stability_scores(t_new, model, center, rng, fusion_mode)[0])
 
 
 def select(t_new: Array, d: float, kappa1: float, kappa2: float, pools: Pools,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -18,9 +18,6 @@ from .dataset import (LEVELS, DatasetBundle, atomic_write_text,
 Array = np.ndarray
 
 CHECKPOINT_VERSION = 1
-
-REPORT_COLUMNS = ("loop", "l_d", "l_g_species", "l_g_genus", "l_g_family",
-                  "l_fm", "l_er", "l_nr", "enhanced_size", "novel_size", "seconds")
 
 
 @dataclass
@@ -79,6 +76,9 @@ class LoopRecord:
     seconds: float
 
 
+REPORT_COLUMNS = tuple(f.name for f in fields(LoopRecord))
+
+
 @dataclass
 class TrainReport:
     rows: list[LoopRecord] = field(default_factory=list)
@@ -86,11 +86,7 @@ class TrainReport:
 
     def to_csv(self) -> str:
         lines = [",".join(REPORT_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join([
-                str(r.loop), repr(r.l_d), repr(r.l_g_species), repr(r.l_g_genus),
-                repr(r.l_g_family), repr(r.l_fm), repr(r.l_er), repr(r.l_nr),
-                str(r.enhanced_size), str(r.novel_size), repr(r.seconds)]))
+        lines += [",".join(map(repr, astuple(r))) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -109,11 +105,10 @@ def species_groups(bundle: DatasetBundle) -> dict[tuple[str, int], list[int]]:
     return groups
 
 
-def build_model(config: TrainConfig, bundle: DatasetBundle) -> mdl.FusionGan:
-    return mdl.FusionGan(visual_dim=bundle.visual_dim,
-                         semantic_dim=bundle.semantic_dim,
-                         n_classes=len(bundle.seen_ids),
-                         noise_dim=config.noise_dim,
+def build_model(config: TrainConfig, visual_dim: int, semantic_dim: int,
+                n_classes: int) -> mdl.FusionGan:
+    return mdl.FusionGan(visual_dim=visual_dim, semantic_dim=semantic_dim,
+                         n_classes=n_classes, noise_dim=config.noise_dim,
                          gen_hidden=config.gen_hidden,
                          disc_hidden=config.disc_hidden,
                          fusion_hidden=config.fusion_hidden,
@@ -172,7 +167,8 @@ class _Session:
             self.rng.bit_generator.state = resume.rng_state
             self.first_loop = resume.loop_index + 1
         else:
-            self.model = build_model(config, bundle)
+            self.model = build_model(config, bundle.visual_dim, bundle.semantic_dim,
+                                     len(bundle.seen_ids))
             self.pools = gn.Pools()
             self.rng = np.random.default_rng([config.seed, 1])
             self.first_loop = 1
@@ -253,13 +249,15 @@ class _Session:
                   "l_g_genus": gen_losses["genus"].item(),
                   "l_g_family": gen_losses["family"].item(),
                   "l_fm": loss_fm.item(), "l_er": er_value, "l_nr": nr_value}
-        ad.backward(total_gen)
-        self.opt_g.step()
-        ad.zero_grads(self.params.values())
+        # Fusion first: its backward walks generator matmuls whose captured
+        # weights opt_g.step() changes in place.
         if config.fusion_mode == "adaptive":
             ad.backward(loss_fm)
             self.opt_f.step()
             ad.zero_grads(self.params.values())
+        ad.backward(total_gen)
+        self.opt_g.step()
+        ad.zero_grads(self.params.values())
         ad.clear_graph()
         return values
 
@@ -348,18 +346,18 @@ def restore_checkpoint(path: str) -> CheckpointData:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: found {version}, "
                          f"expected {CHECKPOINT_VERSION}")
-    config_doc = dict(document["config"])
-    config_doc["disc_hidden"] = tuple(config_doc["disc_hidden"])
+    config_doc = document["config"]
+    names = [f.name for f in fields(TrainConfig)]
+    unknown = sorted(set(config_doc) - set(names))
+    missing = [name for name in names if name not in config_doc]
+    problems = ([f"unknown key {k!r}" for k in unknown]
+                + [f"missing key {k!r}" for k in missing])
+    if problems:
+        raise ValueError(f"checkpoint {path} config: {', '.join(problems)}")
     config = TrainConfig(**config_doc)
     dims = document["dims"]
-    model = mdl.FusionGan(visual_dim=int(dims["visual"]),
-                          semantic_dim=int(dims["semantic"]),
-                          n_classes=int(dims["n_classes"]),
-                          noise_dim=config.noise_dim,
-                          gen_hidden=config.gen_hidden,
-                          disc_hidden=config.disc_hidden,
-                          fusion_hidden=config.fusion_hidden,
-                          alpha=config.alpha, seed=config.seed)
+    model = build_model(config, int(dims["visual"]), int(dims["semantic"]),
+                        int(dims["n_classes"]))
     params = model.named_params()
     stored = document["params"]
     if set(stored) != set(params):

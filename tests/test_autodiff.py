@@ -56,11 +56,11 @@ class TestForward:
         with pytest.raises(ValueError, match="zero-norm"):
             ad.cosine_similarity(t([0.0, 0.0]), t([1.0, 0.0]))
 
-    def test_dispatcher(self):
-        out = ad.forward("scalar-mul", [t([2.0])], c=3.0)
-        assert out.data[0] == 6.0
-        with pytest.raises(ValueError, match="unknown op"):
-            ad.forward("transmogrify", [t([1.0])])
+    def test_ops_table(self):
+        assert len(ad.OPS) == 16
+        for op in ad.OPS.values():
+            assert getattr(ad, op.__name__) is op
+        assert ad.OPS["scalar-mul"](t([2.0]), 3.0).data[0] == 6.0
 
     def test_cross_entropy_label_validation(self):
         logits = t(np.zeros((2, 3)))
@@ -239,15 +239,6 @@ class TestAdam:
         state = ad.AdamState([p])
         with pytest.raises(ValueError, match="no gradient"):
             state.step()
-
-    def test_adam_step_validates_binding(self):
-        p, q = t([1.0], requires_grad=True), t([1.0], requires_grad=True)
-        p.grad = np.array([1.0])
-        state = ad.AdamState([p])
-        with pytest.raises(ValueError, match="does not match"):
-            ad.adam_step([q], state)
-        ad.adam_step([p], state)
-        assert state.step_count == 1
 
     def test_state_roundtrip(self):
         p = t([1.0, 2.0], requires_grad=True)

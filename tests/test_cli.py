@@ -216,6 +216,70 @@ class TestRetrieve:
         assert "unknown class" in capsys.readouterr().err
 
 
+def assert_one_error_line(capsys, *names):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    for name in names:
+        assert name in lines[0]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command,key", [
+        ("gen-data", "samplez"), ("train", "batchsize"), ("eval", "nsyn"),
+        ("retrieve", "nsyn")])
+    def test_unknown_config_key_rejected(self, tmp_path, small_data, trained,
+                                         capsys, command, key):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: 3}))
+        inputs = {"gen-data": [],
+                  "train": ["--data", small_data],
+                  "eval": ["--data", small_data, "--checkpoint",
+                           trained / "checkpoint.json"],
+                  "retrieve": ["--data", small_data, "--checkpoint",
+                               trained / "checkpoint.json", "--class", 0]}[command]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(command, *inputs, "--config", config, "--out", out) == 1
+        assert_one_error_line(capsys, key)
+        assert not out.exists()
+
+    def test_train_config_precedence(self, tmp_path, small_data, monkeypatch):
+        def resolved(*flags, **config):
+            path = tmp_path / "train.json"
+            path.write_text(json.dumps({"steps": 0, **config}))
+            out = tmp_path / "run"
+            assert run("train", "--data", small_data, "--out", out,
+                       "--config", path, *flags) == 0
+            return json.loads((out / "manifest.json").read_text())["config"]
+
+        monkeypatch.setenv("MKFUSION_SEED", "3")
+        assert resolved()["seed"] == 3
+        assert resolved(seed=9)["seed"] == 9
+        assert resolved("--seed", 4, seed=9)["seed"] == 4
+        assert resolved(lam=0.25)["lam"] == 0.25
+        assert resolved(**{"lambda": 0.5, "lam": 0.25})["lam"] == 0.5
+        assert resolved("--lambda", 0.75, **{"lambda": 0.5})["lam"] == 0.75
+        assert resolved(batch_size=7)["batch_size"] == 7
+
+    @pytest.mark.parametrize("change,name", [
+        (lambda config: config.update(bogus=1), "bogus"),
+        (lambda config: config.pop("alpha"), "alpha")])
+    def test_checkpoint_config_keys_checked(self, tmp_path, small_data, trained,
+                                            capsys, change, name):
+        document = json.loads((trained / "checkpoint.json").read_text())
+        change(document["config"])
+        checkpoint = tmp_path / "bad-checkpoint.json"
+        checkpoint.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=name):
+            tr.restore_checkpoint(str(checkpoint))
+        capsys.readouterr()
+        assert run("eval", "--data", small_data, "--checkpoint", checkpoint,
+                   "--out", tmp_path / "eval") == 1
+        assert_one_error_line(capsys, name)
+
+
 class TestParser:
     def test_missing_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -264,6 +264,17 @@ class TestDrivers:
         svg = curve.to_svg()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_gzsl_unseen_top1_matches_zsl(self):
+        bundle = generate_synthetic(SyntheticSpec(samples_per_species=4, visual_dim=6,
+                                                  semantic_dim=4), seed=5)
+        model = FusionGan(visual_dim=6, semantic_dim=4, n_classes=len(bundle.seen_ids),
+                          noise_dim=3, gen_hidden=8, disc_hidden=(8, 6),
+                          fusion_hidden=5, seed=5)
+        top1, per_class, _ = ev.evaluate_zsl(model, bundle, n_syn=7, seed=3)
+        metrics, _ = ev.evaluate_gzsl(model, bundle, n_syn=7, seed=3)
+        assert metrics.top1_unseen == top1
+        assert metrics.per_class_correct == per_class
+
     def test_per_class_csv(self):
         out = ev.per_class_correct_csv({3: 5, 1: 2})
         assert out == "class_id,correct\n1,2\n3,5\n"

@@ -61,7 +61,7 @@ class TestMutate:
         for _ in range(500):
             t_a = rng.normal(0, 2, 12)
             t_a[rng.integers(0, 12)] = 0.0
-            out = gn.mutate(t_a, rng)
+            out = gn.mutate(t_a, rng, gn.GeneticDraw.sample(12, rng))
             nonzero = t_a != 0.0
             assert np.all(np.abs(out[nonzero]) <= np.abs(t_a[nonzero]))
             assert np.all(np.sign(out[nonzero] * t_a[nonzero]) >= 0.0)
@@ -80,7 +80,7 @@ class TestCrossover:
     def test_identical_parents_fixed_point(self):
         rng = np.random.default_rng(5)
         t_a = rng.normal(0, 1, 9)
-        out = gn.crossover(t_a, t_a.copy(), rng)
+        out = gn.crossover(t_a, t_a.copy(), rng, gn.GeneticDraw.sample(9, rng))
         np.testing.assert_array_equal(out, t_a)
 
     def test_empty_swap_is_identity(self):
@@ -93,13 +93,13 @@ class TestCrossover:
         rng = np.random.default_rng(7)
         for _ in range(500):
             t_a, t_b = rng.normal(0, 1, (2, 11))
-            out = gn.crossover(t_a, t_b, rng)
+            out = gn.crossover(t_a, t_b, rng, gn.GeneticDraw.sample(11, rng))
             assert np.all((out == t_a) | (out == t_b))
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="mismatch"):
-            gn.crossover(np.zeros(3), np.zeros(4), rng)
+            gn.crossover(np.zeros(3), np.zeros(4), rng, gn.GeneticDraw.sample(3, rng))
 
 
 def desk_context(seed=0, **model_kw):
@@ -182,10 +182,11 @@ class TestStability:
         class_id = species_ds.class_ids[0]
         t_vec = species_ds.semantics[species_ds.indices_by_class[class_id][0]]
         center = centers["species"].centers[class_id]
-        d1 = gn.stability(t_vec, model, center, np.random.default_rng(42))
-        d2 = gn.stability(t_vec, model, center, np.random.default_rng(42))
-        assert -1.0 <= d1 <= 1.0
-        assert d1 == d2
+        d1 = gn.stability_scores(t_vec, model, center, np.random.default_rng(42))
+        d2 = gn.stability_scores(t_vec, model, center, np.random.default_rng(42))
+        assert d1.shape == (1,)
+        assert -1.0 <= d1[0] <= 1.0
+        assert d1[0] == d2[0]
 
 
 class TestSelect:

@@ -48,7 +48,8 @@ class TestSchedule:
         result = tr.train(config, bundle)
         assert result.report.rows == []
         assert result.report.d_updates == 0
-        fresh = tr.build_model(config, bundle)
+        fresh = tr.build_model(config, bundle.visual_dim, bundle.semantic_dim,
+                               len(bundle.seen_ids))
         for name, p in fresh.named_params().items():
             np.testing.assert_array_equal(result.model.named_params()[name].data, p.data)
 
@@ -83,7 +84,8 @@ class TestSchedule:
         bundle = small_bundle()
         config = small_config(fusion_mode="summing")
         result = tr.train(config, bundle)
-        fresh = tr.build_model(config, bundle)
+        fresh = tr.build_model(config, bundle.visual_dim, bundle.semantic_dim,
+                               len(bundle.seen_ids))
         for name, p in result.model.named_params().items():
             if name.startswith("fusion/"):
                 np.testing.assert_array_equal(p.data, fresh.named_params()[name].data)
