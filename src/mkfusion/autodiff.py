@@ -1,10 +1,11 @@
 """Dense float64 tensors with a reverse-mode tape, Adam, and weight clipping.
 
 Every numeric value in the package flows through :class:`Tensor`. Operations
-are recorded on a single module-level tape while gradients are enabled;
-``backward`` replays the tape in reverse and accumulates gradients into the
-participating leaf tensors. The tape is cleared explicitly by the caller
-between training steps.
+on tensors that require gradients are recorded on a single module-level tape
+while gradients are enabled. ``backward(loss, wrt=tensors)`` replays only the
+part of the tape that lies on a path from ``tensors`` to ``loss`` and returns
+the gradients as arrays, one per tensor; no tensor holds gradient state. The
+tape is cleared explicitly by the caller between training steps.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ Array = np.ndarray
 class Tensor:
     """A dense real-valued array that can participate in gradient taping.
 
-    Data is stored row-major in float64. ``grad`` stays ``None`` until a
-    backward pass deposits into it; deposits accumulate additively until the
-    caller zeroes them.
+    Data is stored row-major in float64. Operations that take a tensor with
+    ``requires_grad`` are taped, and their outputs require gradients too.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -33,8 +33,6 @@ class Tensor:
             raise ValueError("tensor data contains non-finite entries")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
-        self.is_leaf = True
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -46,9 +44,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return matmul(self, other)
@@ -109,7 +104,6 @@ def _record(inputs: tuple[Tensor, ...], out_data: Array,
     out = Tensor(out_data)
     if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out.is_leaf = False
         _graph.append(_Node(inputs, out, vjp))
     return out
 
@@ -307,41 +301,39 @@ OPS: dict[str, Callable[..., Tensor]] = {
 # Backward pass
 # ---------------------------------------------------------------------------
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf on the tape.
+def backward(loss: Tensor, *, wrt: Sequence[Tensor]) -> list[Array]:
+    """d(loss)/d(t) for each tensor ``t`` in ``wrt``, in order.
 
-    Repeated calls keep adding into ``grad`` until the caller zeroes it.
+    ``wrt`` holds tensors that no taped op produced, such as parameters. Only
+    tape nodes on a path from ``wrt`` to ``loss`` run their vjp. Raises if
+    ``loss`` does not depend on some ``wrt[i]``.
     """
     if loss.shape != ():
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    start = None
-    for i in range(len(_graph) - 1, -1, -1):
-        if _graph[i].output is loss:
-            start = i
+    live = {id(t) for t in wrt}  # tensors that depend on some wrt tensor
+    path = []
+    for node in _graph:
+        if any(id(t) in live for t in node.inputs):
+            live.add(id(node.output))
+            path.append(node)
+        if node.output is loss:
             break
-    if start is None:
+    else:
         raise ValueError("backward: loss is not on the active graph")
 
     pending: dict[int, Array] = {id(loss): np.ones(())}
-    for node in reversed(_graph[: start + 1]):
+    for node in reversed(path):
         g = pending.pop(id(node.output), None)
         if g is None:
             continue
         for tensor, gin in zip(node.inputs, node.vjp(g)):
-            if gin is None or not tensor.requires_grad:
-                continue
-            if tensor.is_leaf:
-                if tensor.grad is None:
-                    tensor.grad = np.zeros_like(tensor.data)
-                tensor.grad += gin
-            else:
+            if gin is not None and id(tensor) in live:
                 acc = pending.get(id(tensor))
                 pending[id(tensor)] = gin if acc is None else acc + gin
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()
+    for i, t in enumerate(wrt):
+        if id(t) not in pending:
+            raise ValueError(f"backward: loss does not depend on wrt[{i}]")
+    return [pending[id(t)] for t in wrt]
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +360,15 @@ class AdamState:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is None:
-                raise ValueError("adam step: parameter has no gradient")
+    def step(self, grads: Sequence[Array]) -> None:
+        """Update each parameter from the gradient at the same position."""
+        if len(grads) != len(self.params):
+            raise ValueError(f"adam step: {len(grads)} gradients for "
+                             f"{len(self.params)} parameters")
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad
+        for i, (p, g) in enumerate(zip(self.params, grads)):
             self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1 ** t)

@@ -24,8 +24,9 @@ GEN_DATA_DEFAULTS = {"families": 3, "genera": 3, "species": 4, "samples": 20,
 # SyntheticSpec scales that only a config file sets.
 SCALE_KEYS = ("sigma_family", "sigma_genus", "sigma_species", "noise_std",
               "semantic_noise_std")
-# TrainConfig fields that also have a flag.
-TRAIN_FLAGS = ("steps", "n_nfg", "kappa1", "kappa2", "lam", "seed")
+# TrainConfig fields that also have a flag -> the flag.
+TRAIN_FLAGS = {"steps": "--steps", "n_nfg": "--n-nfg", "kappa1": "--kappa1",
+               "kappa2": "--kappa2", "lam": "--lambda", "seed": "--seed"}
 
 
 def _utc_now() -> str:
@@ -122,25 +123,27 @@ def _train_config_from(args: argparse.Namespace, config: dict) -> tr.TrainConfig
     values = {}
     for f in dataclasses.fields(tr.TrainConfig):
         key = "lambda" if f.name == "lam" and "lambda" in config else f.name
-        if f.name in TRAIN_FLAGS:
-            values[f.name] = type(f.default)(
-                _resolve(getattr(args, f.name), config, key, f.default))
-        else:
-            values[f.name] = config.get(key, f.default)
+        flag = getattr(args, f.name) if f.name in TRAIN_FLAGS else None
+        values[f.name] = _resolve(flag, config, key, f.default)
     return tr.TrainConfig(**values)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     started = _utc_now()
-    config_file = _load_config_file(
-        args.config, (*(f.name for f in dataclasses.fields(tr.TrainConfig)), "lambda"))
     resume_state = None
     if args.resume is not None:
+        ignored = [flag for key, flag in {**TRAIN_FLAGS, "config": "--config"}.items()
+                   if key != "steps" and getattr(args, key) is not None]
+        if ignored:
+            raise ValueError(f"--resume keeps the checkpoint's config; only --steps "
+                             f"may change: {', '.join(ignored)}")
         resume_state = tr.restore_checkpoint(args.resume)
         config = resume_state.config
         if args.steps is not None:
-            config = dataclasses.replace(config, steps=int(args.steps))
+            config = dataclasses.replace(config, steps=args.steps)
     else:
+        config_file = _load_config_file(
+            args.config, (*(f.name for f in dataclasses.fields(tr.TrainConfig)), "lambda"))
         config = _train_config_from(args, config_file)
     bundle = load_bundle(args.data)
     result = tr.train(config, bundle, resume=resume_state)
@@ -252,12 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train a model on a dataset file")
     train.add_argument("--data", required=True)
     train.add_argument("--out", required=True)
-    train.add_argument("--steps", type=int)
-    train.add_argument("--n-nfg", type=int)
-    train.add_argument("--kappa1", type=float)
-    train.add_argument("--kappa2", type=float)
-    train.add_argument("--lambda", dest="lam", type=float)
-    train.add_argument("--seed", type=int)
+    defaults = {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)}
+    for name, flag in TRAIN_FLAGS.items():
+        train.add_argument(flag, dest=name, type=type(defaults[name]))
     train.add_argument("--resume", help="checkpoint to continue from")
     train.add_argument("--config")
     train.set_defaults(func=_cmd_train)

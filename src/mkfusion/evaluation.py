@@ -205,8 +205,7 @@ def retrieve_topk(prototypes: ClassPrototypes, pool: Array, class_id: int,
         raise ValueError("retrieval pool is empty")
     if int(class_id) not in prototypes.prototypes:
         raise KeyError(f"no prototype for class {class_id}")
-    anchor = prototypes.prototypes[int(class_id)][None, :]
-    sims = cosine_rows(pool, np.repeat(anchor, len(pool), axis=0))
+    sims = cosine_rows(pool, prototypes.prototypes[int(class_id)][None, :])
     order = np.argsort(-sims, kind="stable")[:k]
     return [(int(i), float(sims[i])) for i in order]
 

@@ -159,7 +159,8 @@ def sample_parents(datasets: dict[str, LevelDataset], pools: Pools,
 # ---------------------------------------------------------------------------
 
 def cosine_rows(a: Array, b: Array) -> Array:
-    """Row-wise cosine similarity between two equally shaped matrices."""
+    """Row-wise cosine similarity between two equally shaped matrices; ``b``
+    may instead be one row, which is compared with every row of ``a``."""
     norm_a = np.linalg.norm(a, axis=1)
     norm_b = np.linalg.norm(b, axis=1)
     if np.any(norm_a == 0.0) or np.any(norm_b == 0.0):

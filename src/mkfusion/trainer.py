@@ -20,6 +20,15 @@ Array = np.ndarray
 CHECKPOINT_VERSION = 1
 
 
+def _has_type(value, annotation: str) -> bool:
+    """Whether ``value`` fits a TrainConfig field's annotation; no bool fits."""
+    if annotation == "tuple[int, int]":
+        return (isinstance(value, (tuple, list)) and len(value) == 2
+                and all(_has_type(v, "int") for v in value))
+    kinds = {"int": int, "float": (int, float), "str": str}[annotation]
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass
 class TrainConfig:
     steps: int = 300
@@ -40,6 +49,12 @@ class TrainConfig:
     alpha: float = 0.2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, f.type):
+                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
+            if f.type == "float":
+                setattr(self, f.name, float(value))
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         if self.n_nfg < 0:
@@ -173,7 +188,6 @@ class _Session:
             self.rng = np.random.default_rng([config.seed, 1])
             self.first_loop = 1
 
-        self.params = self.model.named_params()
         lr = config.learning_rate
         self.opt_d = ad.AdamState(self.model.discriminator_params(), lr=lr)
         self.opt_g = ad.AdamState(self.model.generator_params(), lr=lr)
@@ -215,14 +229,10 @@ class _Session:
         idx, t_batch, z = self.sample_batch()
         with ad.no_grad():
             _, fused, _ = self.model.generate_fused(t_batch, z, config.fusion_mode)
-        ad.clear_graph()
-        ad.zero_grads(self.params.values())
         loss = mdl.loss_discriminator(self.model.discriminator, self.visuals[idx],
                                       fused.data, self.dense_labels[idx])
-        ad.backward(loss)
-        self.opt_d.step()
+        self.opt_d.step(ad.backward(loss, wrt=self.opt_d.params))
         ad.clip_weights(self.model.discriminator.critic_params(), config.clip_c)
-        ad.zero_grads(self.params.values())
         ad.clear_graph()
         self.report.d_updates += 1
         return loss.item()
@@ -231,8 +241,6 @@ class _Session:
         config = self.config
         idx, t_batch, z = self.sample_batch()
         batch_labels = self.dense_labels[idx]
-        ad.clear_graph()
-        ad.zero_grads(self.params.values())
         features, fused, _ = self.model.generate_fused(t_batch, z, config.fusion_mode)
         gen_losses = {}
         for level in LEVELS:
@@ -249,15 +257,10 @@ class _Session:
                   "l_g_genus": gen_losses["genus"].item(),
                   "l_g_family": gen_losses["family"].item(),
                   "l_fm": loss_fm.item(), "l_er": er_value, "l_nr": nr_value}
-        # Fusion first: its backward walks generator matmuls whose captured
-        # weights opt_g.step() changes in place.
+        gen_grads = ad.backward(total_gen, wrt=self.opt_g.params)
         if config.fusion_mode == "adaptive":
-            ad.backward(loss_fm)
-            self.opt_f.step()
-            ad.zero_grads(self.params.values())
-        ad.backward(total_gen)
-        self.opt_g.step()
-        ad.zero_grads(self.params.values())
+            self.opt_f.step(ad.backward(loss_fm, wrt=self.opt_f.params))
+        self.opt_g.step(gen_grads)
         ad.clear_graph()
         return values
 
@@ -354,7 +357,10 @@ def restore_checkpoint(path: str) -> CheckpointData:
                 + [f"missing key {k!r}" for k in missing])
     if problems:
         raise ValueError(f"checkpoint {path} config: {', '.join(problems)}")
-    config = TrainConfig(**config_doc)
+    try:
+        config = TrainConfig(**config_doc)
+    except ValueError as err:
+        raise ValueError(f"checkpoint {path} config: {err}") from None
     dims = document["dims"]
     model = build_model(config, int(dims["visual"]), int(dims["semantic"]),
                         int(dims["n_classes"]))

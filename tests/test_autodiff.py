@@ -73,13 +73,13 @@ class TestForward:
 class TestBackward:
     def test_sum_gives_ones(self):
         w = t(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ad.backward(ad.reduce_sum(w))
-        np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
+        (grad,) = ad.backward(ad.reduce_sum(w), wrt=[w])
+        np.testing.assert_array_equal(grad, np.ones((2, 3)))
 
     def test_squared_error_derivative(self):
         w = t([3.0], requires_grad=True)
-        ad.backward(ad.l2_squared_distance(w, t([0.0])))
-        np.testing.assert_allclose(w.grad, [6.0])
+        (grad,) = ad.backward(ad.l2_squared_distance(w, t([0.0])), wrt=[w])
+        np.testing.assert_allclose(grad, [6.0])
 
     def test_two_layer_net_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -96,6 +96,11 @@ class TestBackward:
             return ad.scalar_mul(ad.l2_squared_distance(out, target), 1.0 / 6)
 
         assert_grads_match(loss_fn, [w1, b1, w2, b2], rng, h=1e-4)
+        loss = loss_fn()
+        full = ad.backward(loss, wrt=[w1, b1, w2, b2])
+        subset = ad.backward(loss, wrt=[w2, b1])
+        np.testing.assert_array_equal(subset[0], full[2])
+        np.testing.assert_array_equal(subset[1], full[1])
 
     def test_linearity_of_accumulation(self):
         rng = np.random.default_rng(3)
@@ -107,35 +112,34 @@ class TestBackward:
         def loss_b():
             return ad.reduce_sum(ad.sigmoid(w))
 
-        ad.backward(loss_a())
-        ga = w.grad.copy()
-        w.zero_grad()
-        ad.clear_graph()
-        ad.backward(loss_b())
-        gb = w.grad.copy()
-        w.zero_grad()
-        ad.clear_graph()
-        la, lb = loss_a(), loss_b()
-        ad.backward(ad.add(la, lb))
-        np.testing.assert_allclose(w.grad, ga + gb, rtol=1e-12)
+        (ga,) = ad.backward(loss_a(), wrt=[w])
+        (gb,) = ad.backward(loss_b(), wrt=[w])
+        (g,) = ad.backward(ad.add(loss_a(), loss_b()), wrt=[w])
+        np.testing.assert_allclose(g, ga + gb, rtol=1e-12)
 
-    def test_grads_accumulate_until_zeroed(self):
+    def test_repeated_backward_returns_equal_grads(self):
         w = t([2.0], requires_grad=True)
         loss = ad.reduce_sum(ad.square(w))
-        ad.backward(loss)
-        ad.backward(loss)
-        np.testing.assert_allclose(w.grad, [8.0])
-        w.zero_grad()
-        assert w.grad is None
+        first = ad.backward(loss, wrt=[w])
+        second = ad.backward(loss, wrt=[w])
+        np.testing.assert_array_equal(first[0], [4.0])
+        np.testing.assert_array_equal(second[0], first[0])
+
+    def test_unreached_wrt_rejected(self):
+        w = t([1.0], requires_grad=True)
+        unused = t([2.0], requires_grad=True)
+        loss = ad.reduce_sum(ad.square(w))
+        with pytest.raises(ValueError, match=r"does not depend on wrt\[1\]"):
+            ad.backward(loss, wrt=[w, unused])
 
     def test_loss_must_be_scalar_and_on_tape(self):
         w = t([1.0, 2.0], requires_grad=True)
         vec = ad.square(w)
         with pytest.raises(ValueError, match="scalar"):
-            ad.backward(vec)
+            ad.backward(vec, wrt=[w])
         detached = t(5.0)
         with pytest.raises(ValueError, match="not on the active graph"):
-            ad.backward(detached)
+            ad.backward(detached, wrt=[w])
 
     def test_no_grad_suppresses_taping(self):
         w = t([1.0], requires_grad=True)
@@ -204,9 +208,8 @@ def test_every_op_gradient_matches_finite_differences(case):
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         p = t([1.0, -2.0], requires_grad=True)
-        p.grad = np.zeros(2)
         state = ad.AdamState([p], lr=0.1)
-        state.step()
+        state.step([np.zeros(2)])
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
         assert state.step_count == 1
 
@@ -214,9 +217,8 @@ class TestAdam:
         # Hand evaluation with beta1=0.5, beta2=0.9: m_hat = v_hat = g on step 1,
         # so the update is -lr * g / (|g| + eps).
         p = t([0.0], requires_grad=True)
-        p.grad = np.array([1.0])
         state = ad.AdamState([p], lr=0.1, beta1=0.5, beta2=0.9)
-        state.step()
+        state.step([np.array([1.0])])
         assert p.data[0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_two_steps_decrease_convex_quadratic(self):
@@ -225,26 +227,26 @@ class TestAdam:
         losses = []
         for _ in range(2):
             ad.clear_graph()
-            p.zero_grad()
             loss = ad.l2_squared_distance(p, t([3.0]))
             losses.append(loss.item())
-            ad.backward(loss)
-            state.step()
+            state.step(ad.backward(loss, wrt=[p]))
         final = ad.l2_squared_distance(p, t([3.0])).item()
         assert losses[1] < losses[0]
         assert final < losses[1]
 
-    def test_missing_grad_rejected(self):
+    def test_gradient_count_must_match_params(self):
         p = t([1.0], requires_grad=True)
         state = ad.AdamState([p])
-        with pytest.raises(ValueError, match="no gradient"):
-            state.step()
+        with pytest.raises(ValueError, match="2 gradients for 1 parameters"):
+            state.step([np.zeros(1), np.zeros(1)])
+        with pytest.raises(ValueError, match="0 gradients for 1 parameters"):
+            state.step([])
+        assert state.step_count == 0
 
     def test_state_roundtrip(self):
         p = t([1.0, 2.0], requires_grad=True)
-        p.grad = np.array([0.3, -0.4])
         state = ad.AdamState([p], lr=0.05)
-        state.step()
+        state.step([np.array([0.3, -0.4])])
         snapshot = state.state_arrays()
         clone = ad.AdamState([p], lr=0.05)
         clone.load_state_arrays(snapshot)

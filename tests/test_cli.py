@@ -263,9 +263,38 @@ class TestBadInput:
         assert resolved("--lambda", 0.75, **{"lambda": 0.5})["lam"] == 0.75
         assert resolved(batch_size=7)["batch_size"] == 7
 
+    @pytest.mark.parametrize("config,name", [
+        ({"batch_size": "8"}, "batch_size"), ({"steps": "300"}, "steps"),
+        ({"steps": 2.5}, "steps"), ({"n_nfg": True}, "n_nfg"),
+        ({"kappa1": "0.9"}, "kappa1"), ({"alpha": False}, "alpha"),
+        ({"fusion_mode": 1}, "fusion_mode"),
+        ({"disc_hidden": [10]}, "disc_hidden"),
+        ({"disc_hidden": [10, "8"]}, "disc_hidden")])
+    def test_train_config_value_types_checked(self, tmp_path, small_data, capsys,
+                                              config, name):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({"steps": 0, **config}))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run("train", "--data", small_data, "--out", out,
+                   "--config", path) == 1
+        assert_one_error_line(capsys, name)
+        assert not out.exists()
+
+    def test_resume_rejects_other_train_flags(self, tmp_path, small_data, trained,
+                                              train_config, capsys):
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        assert run("train", "--data", small_data, "--out", out,
+                   "--resume", trained / "checkpoint.json", "--steps", 3,
+                   "--kappa1", 0.95, "--lambda", 0.3, "--config", train_config) == 1
+        assert_one_error_line(capsys, "--kappa1", "--lambda", "--config")
+        assert not out.exists()
+
     @pytest.mark.parametrize("change,name", [
         (lambda config: config.update(bogus=1), "bogus"),
-        (lambda config: config.pop("alpha"), "alpha")])
+        (lambda config: config.pop("alpha"), "alpha"),
+        (lambda config: config.update(batch_size="8"), "batch_size")])
     def test_checkpoint_config_keys_checked(self, tmp_path, small_data, trained,
                                             capsys, change, name):
         document = json.loads((trained / "checkpoint.json").read_text())
@@ -274,10 +303,11 @@ class TestBadInput:
         checkpoint.write_text(json.dumps(document))
         with pytest.raises(ValueError, match=name):
             tr.restore_checkpoint(str(checkpoint))
-        capsys.readouterr()
-        assert run("eval", "--data", small_data, "--checkpoint", checkpoint,
-                   "--out", tmp_path / "eval") == 1
-        assert_one_error_line(capsys, name)
+        for command, extra in (("eval", []), ("retrieve", ["--class", 0])):
+            capsys.readouterr()
+            assert run(command, "--data", small_data, "--checkpoint", checkpoint,
+                       *extra, "--out", tmp_path / command) == 1
+            assert_one_error_line(capsys, name)
 
 
 class TestParser:

@@ -171,6 +171,9 @@ class TestStability:
         b = np.array([[3.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
         got = gn.cosine_rows(a, b)
         np.testing.assert_allclose(got, [1.0, 0.0, 1.0 / np.sqrt(2.0)], atol=1e-12)
+        row = np.array([[1.0, 1.0]])
+        np.testing.assert_array_equal(gn.cosine_rows(a, row),
+                                      gn.cosine_rows(a, np.repeat(row, 3, axis=0)))
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValueError, match="zero-norm"):

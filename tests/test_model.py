@@ -238,11 +238,9 @@ class TestLosses:
         history = []
         for _ in range(100):
             ad.clear_graph()
-            ad.zero_grads(params)
             loss = mdl.loss_discriminator(m.discriminator, real, fake, labels)
             history.append(loss.item())
-            ad.backward(loss)
-            opt.step()
+            opt.step(ad.backward(loss, wrt=params))
             ad.clip_weights(m.discriminator.critic_params(), 0.01)
         assert history[-1] < history[0]
 

@@ -37,6 +37,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="fusion mode"):
             TrainConfig(fusion_mode="concat")
 
+    def test_float_fields_take_ints(self):
+        config = TrainConfig(kappa1=1, lam=2, disc_hidden=[12, 10])
+        assert type(config.kappa1) is float and type(config.lam) is float
+        assert config.disc_hidden == (12, 10)
+
     def test_steps_zero_is_valid(self):
         assert TrainConfig(steps=0).steps == 0
 
