@@ -14,52 +14,76 @@ from . import __version__
 from . import evaluation as ev
 from . import trainer as tr
 from .dataset import (DatasetBundle, SyntheticSpec, atomic_write_text,
-                      generate_synthetic, load_bundle, save_bundle)
+                      generate_synthetic, load_bundle, read_json_object,
+                      save_bundle)
 
 SEED_ENV_VAR = "MKFUSION_SEED"
 
-# gen-data setting -> default; each is also a flag of the same name.
-GEN_DATA_DEFAULTS = {"families": 3, "genera": 3, "species": 4, "samples": 20,
-                     "vis_dim": 32, "sem_dim": 16, "unseen_frac": 0.17, "seed": 1}
-# SyntheticSpec scales that only a config file sets.
-SCALE_KEYS = ("sigma_family", "sigma_genus", "sigma_species", "noise_std",
-              "semantic_noise_std")
-# TrainConfig fields that also have a flag -> the flag.
-TRAIN_FLAGS = {"steps": "--steps", "n_nfg": "--n-nfg", "kappa1": "--kappa1",
-               "kappa2": "--kappa2", "lam": "--lambda", "seed": "--seed"}
+# SyntheticSpec field -> gen-data setting, where the two names differ.
+SPEC_SETTINGS = {"genera_per_family": "genera", "species_per_genus": "species",
+                 "samples_per_species": "samples", "visual_dim": "vis_dim",
+                 "semantic_dim": "sem_dim", "unseen_fraction": "unseen_frac"}
+# Per command: setting -> default. Each is a config key of the same name.
+SETTINGS = {
+    "gen-data": {**{SPEC_SETTINGS.get(f.name, f.name): f.default
+                    for f in dataclasses.fields(SyntheticSpec)}, "seed": 1},
+    "train": {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)},
+    "eval": {"n_syn": ev.DEFAULT_N_SYN, "mode": "gzsl"},
+    "retrieve": {"k": ev.DEFAULT_TOP_K, "n_syn": ev.DEFAULT_N_SYN},
+}
+# Per command: the settings that also have a flag, ``--`` + name with ``-`` for ``_``.
+FLAGGED = {
+    "gen-data": ("families", "genera", "species", "samples", "vis_dim", "sem_dim",
+                 "unseen_frac", "seed"),
+    "train": ("steps", "n_nfg", "kappa1", "kappa2", "lam", "seed"),
+    "eval": ("n_syn", "mode"),
+    "retrieve": ("k", "n_syn"),
+}
+# Setting -> the name its flag and config key use instead; in a config file
+# the alias wins over the setting's own name.
+ALIASES = {"lam": "lambda"}
 
 
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_config_file(path: str | None, known: tuple[str, ...]) -> dict:
-    """The JSON object in ``path`` ({} without one); keys outside ``known`` are an error."""
-    if path is None:
-        return {}
-    with open(path) as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"malformed config file {path}: {err}") from None
-    if not isinstance(document, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(document) - set(known))
+def _flag(name: str) -> str:
+    return "--" + ALIASES.get(name, name).replace("_", "-")
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """The command's settings, each from its flag, else the config file, else
+    ``MKFUSION_SEED`` for the seed, else its default. Config values must fit
+    the default's type; a float setting given an int stores a float."""
+    defaults = SETTINGS[args.command]
+    config = {} if args.config is None else read_json_object(args.config, "config file")
+    unknown = sorted(set(config) - {*defaults, *(ALIASES.get(n, n) for n in defaults)})
     if unknown:
-        raise ValueError(f"unknown keys in config file {path}: {', '.join(unknown)}")
-    return document
-
-
-def _resolve(flag_value, config: dict, key: str, default):
-    """Precedence: explicit flag, then config file, then ``MKFUSION_SEED`` for
-    the seed, then default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    if key == "seed" and os.environ.get(SEED_ENV_VAR):
-        return int(os.environ[SEED_ENV_VAR])
-    return default
+        raise ValueError(f"unknown keys in config file {args.config}: {', '.join(unknown)}")
+    values = {}
+    for name, default in defaults.items():
+        key = ALIASES[name] if ALIASES.get(name) in config else name
+        flag = getattr(args, name) if name in FLAGGED[args.command] else None
+        if flag is not None:
+            value = flag
+        elif key in config:
+            value = config[key]
+            if not tr.fits(value, default):
+                raise ValueError(f"config file {args.config}: {key!r} must be "
+                                 f"{type(default).__name__}, got {value!r}")
+        elif name == "seed" and os.environ.get(SEED_ENV_VAR):
+            try:
+                value = int(os.environ[SEED_ENV_VAR])
+            except ValueError:
+                raise ValueError(f"{SEED_ENV_VAR} must be an integer, got "
+                                 f"{os.environ[SEED_ENV_VAR]!r}") from None
+        else:
+            value = default
+        if name == "seed" and value < 0:
+            raise ValueError("seed must be non-negative")
+        values[name] = float(value) if isinstance(default, float) else value
+    return values
 
 
 def write_manifest(path: str, command: str, config: dict, seed,
@@ -97,43 +121,23 @@ def _load_bundle_for_checkpoint(data_path: str,
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     started = _utc_now()
-    config = _load_config_file(args.config, (*GEN_DATA_DEFAULTS, *SCALE_KEYS))
-    resolved = {key: type(default)(_resolve(getattr(args, key), config, key, default))
-                for key, default in GEN_DATA_DEFAULTS.items()}
-    scales = {key: config[key] for key in SCALE_KEYS if key in config}
-    spec = SyntheticSpec(families=resolved["families"],
-                         genera_per_family=resolved["genera"],
-                         species_per_genus=resolved["species"],
-                         samples_per_species=resolved["samples"],
-                         visual_dim=resolved["vis_dim"],
-                         semantic_dim=resolved["sem_dim"],
-                         unseen_fraction=resolved["unseen_frac"],
-                         **scales)
-    bundle = generate_synthetic(spec, resolved["seed"])
+    settings = _settings(args)
+    spec = SyntheticSpec(**{f.name: settings[SPEC_SETTINGS.get(f.name, f.name)]
+                            for f in dataclasses.fields(SyntheticSpec)})
+    bundle = generate_synthetic(spec, settings["seed"])
     save_bundle(bundle, args.out)
-    write_manifest(args.out + ".manifest.json", "gen-data",
-                   {**resolved, **scales}, resolved["seed"],
+    write_manifest(args.out + ".manifest.json", "gen-data", settings, settings["seed"],
                    inputs={}, outputs={"dataset": args.out}, started_at=started)
     return 0
-
-
-def _train_config_from(args: argparse.Namespace, config: dict) -> tr.TrainConfig:
-    """Each field from its flag, else the config file (``lambda`` before ``lam``),
-    else ``MKFUSION_SEED`` for the seed, else the field's default."""
-    values = {}
-    for f in dataclasses.fields(tr.TrainConfig):
-        key = "lambda" if f.name == "lam" and "lambda" in config else f.name
-        flag = getattr(args, f.name) if f.name in TRAIN_FLAGS else None
-        values[f.name] = _resolve(flag, config, key, f.default)
-    return tr.TrainConfig(**values)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     started = _utc_now()
     resume_state = None
     if args.resume is not None:
-        ignored = [flag for key, flag in {**TRAIN_FLAGS, "config": "--config"}.items()
-                   if key != "steps" and getattr(args, key) is not None]
+        ignored = [_flag(name) for name in FLAGGED["train"]
+                   if name != "steps" and getattr(args, name) is not None]
+        ignored += ["--config"] if args.config is not None else []
         if ignored:
             raise ValueError(f"--resume keeps the checkpoint's config; only --steps "
                              f"may change: {', '.join(ignored)}")
@@ -142,9 +146,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if args.steps is not None:
             config = dataclasses.replace(config, steps=args.steps)
     else:
-        config_file = _load_config_file(
-            args.config, (*(f.name for f in dataclasses.fields(tr.TrainConfig)), "lambda"))
-        config = _train_config_from(args, config_file)
+        config = tr.TrainConfig(**_settings(args))
     bundle = load_bundle(args.data)
     result = tr.train(config, bundle, resume=resume_state)
     os.makedirs(args.out, exist_ok=True)
@@ -162,9 +164,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     started = _utc_now()
-    config = _load_config_file(args.config, ("n_syn", "mode"))
-    n_syn = int(_resolve(args.n_syn, config, "n_syn", ev.DEFAULT_N_SYN))
-    mode = str(_resolve(args.mode, config, "mode", "gzsl"))
+    settings = _settings(args)
+    n_syn, mode = settings["n_syn"], settings["mode"]
     if mode not in ("zsl", "gzsl"):
         raise ValueError(f"unknown eval mode: {mode!r}")
     state = tr.restore_checkpoint(args.checkpoint)
@@ -204,12 +205,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     started = _utc_now()
-    config = _load_config_file(args.config, ("k", "n_syn"))
-    k = int(_resolve(args.k, config, "k", ev.DEFAULT_TOP_K))
-    n_syn = int(_resolve(args.n_syn, config, "n_syn", ev.DEFAULT_N_SYN))
+    settings = _settings(args)
+    k, n_syn = settings["k"], settings["n_syn"]
     state = tr.restore_checkpoint(args.checkpoint)
     bundle = _load_bundle_for_checkpoint(args.data, state)
-    class_id = int(args.class_id)
+    class_id = args.class_id
     if class_id not in bundle.by_species:
         raise ValueError(f"unknown class id: {class_id}")
     prototypes = ev.synthesize_prototypes(
@@ -232,54 +232,37 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _add_command(sub, command: str, func, help_text: str,
+                 *required: str) -> argparse.ArgumentParser:
+    """A subparser with the ``required`` flags, a flag for each of the
+    command's flagged settings, and ``--config``."""
+    parser = sub.add_parser(command, help=help_text)
+    for flag in required:
+        parser.add_argument(flag, required=True)
+    for name in FLAGGED[command]:
+        parser.add_argument(_flag(name), dest=name, type=type(SETTINGS[command][name]))
+    parser.add_argument("--config", help="JSON object of settings")
+    parser.set_defaults(func=func)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mkfusion",
         description="Taxonomy-conditioned generative zero-shot learning sandbox")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen-data", help="generate a synthetic dataset file")
-    gen.add_argument("--families", type=int)
-    gen.add_argument("--genera", type=int)
-    gen.add_argument("--species", type=int)
-    gen.add_argument("--samples", type=int)
-    gen.add_argument("--vis-dim", type=int)
-    gen.add_argument("--sem-dim", type=int)
-    gen.add_argument("--unseen-frac", type=float)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--config")
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(func=_cmd_gen_data)
-
-    train = sub.add_parser("train", help="train a model on a dataset file")
-    train.add_argument("--data", required=True)
-    train.add_argument("--out", required=True)
-    defaults = {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)}
-    for name, flag in TRAIN_FLAGS.items():
-        train.add_argument(flag, dest=name, type=type(defaults[name]))
+    _add_command(sub, "gen-data", _cmd_gen_data, "generate a synthetic dataset file",
+                 "--out")
+    train = _add_command(sub, "train", _cmd_train, "train a model on a dataset file",
+                         "--data", "--out")
     train.add_argument("--resume", help="checkpoint to continue from")
-    train.add_argument("--config")
-    train.set_defaults(func=_cmd_train)
-
-    evaluate = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
-    evaluate.add_argument("--data", required=True)
-    evaluate.add_argument("--checkpoint", required=True)
-    evaluate.add_argument("--n-syn", type=int)
-    evaluate.add_argument("--mode", choices=("zsl", "gzsl"))
-    evaluate.add_argument("--config")
-    evaluate.add_argument("--out", required=True)
-    evaluate.set_defaults(func=_cmd_eval)
-
-    retrieve = sub.add_parser("retrieve", help="rank samples against a class prototype")
-    retrieve.add_argument("--data", required=True)
-    retrieve.add_argument("--checkpoint", required=True)
+    _add_command(sub, "eval", _cmd_eval, "evaluate a checkpoint on a dataset",
+                 "--data", "--checkpoint", "--out")
+    retrieve = _add_command(sub, "retrieve", _cmd_retrieve,
+                            "rank samples against a class prototype",
+                            "--data", "--checkpoint", "--out")
     retrieve.add_argument("--class", dest="class_id", type=int, required=True)
-    retrieve.add_argument("--k", type=int)
-    retrieve.add_argument("--n-syn", type=int)
-    retrieve.add_argument("--config")
-    retrieve.add_argument("--out", required=True)
-    retrieve.set_defaults(func=_cmd_retrieve)
     return parser
 
 

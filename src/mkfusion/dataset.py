@@ -329,6 +329,18 @@ def _require_field(mapping: dict, name: str):
     return mapping[name]
 
 
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in ``path``; ``what`` names the file in errors."""
+    with open(path) as handle:
+        try:
+            document = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"malformed {what} {path}: {err}") from None
+    if not isinstance(document, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return document
+
+
 def atomic_write_text(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -362,11 +374,7 @@ def save_bundle(bundle: DatasetBundle, path: str) -> None:
 
 
 def load_bundle(path: str) -> DatasetBundle:
-    with open(path) as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"malformed dataset file {path}: {err}") from None
+    document = read_json_object(path, "dataset file")
     dims = _require_field(document, "dims")
     classes_raw = _require_field(document, "classes")
     samples_raw = _require_field(document, "samples")

@@ -12,21 +12,25 @@ import numpy as np
 from . import autodiff as ad
 from . import genetics as gn
 from . import model as mdl
-from .dataset import (LEVELS, DatasetBundle, atomic_write_text,
-                      compute_visual_centers, derive_knowledge_datasets)
+from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_text,
+                      compute_visual_centers, derive_knowledge_datasets,
+                      read_json_object)
 
 Array = np.ndarray
 
 CHECKPOINT_VERSION = 1
 
 
-def _has_type(value, annotation: str) -> bool:
-    """Whether ``value`` fits a TrainConfig field's annotation; no bool fits."""
-    if annotation == "tuple[int, int]":
-        return (isinstance(value, (tuple, list)) and len(value) == 2
-                and all(_has_type(v, "int") for v in value))
-    kinds = {"int": int, "float": (int, float), "str": str}[annotation]
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def fits(value, default) -> bool:
+    """Whether ``value`` may stand for a setting whose default is ``default``:
+    the default's type, an int for a float, a list of fitting items for a
+    tuple; a bool never fits."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, tuple):
+        return (isinstance(value, (tuple, list)) and len(value) == len(default)
+                and all(fits(v, d) for v, d in zip(value, default)))
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
 @dataclass
@@ -51,9 +55,9 @@ class TrainConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _has_type(value, f.type):
+            if not fits(value, f.default):
                 raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
-            if f.type == "float":
+            if isinstance(f.default, float):
                 setattr(self, f.name, float(value))
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
@@ -340,16 +344,12 @@ def save_checkpoint(path: str, state: CheckpointData) -> None:
 
 
 def restore_checkpoint(path: str) -> CheckpointData:
-    with open(path) as handle:
-        try:
-            document = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"malformed checkpoint {path}: {err}") from None
-    version = document.get("format_version")
+    document = read_json_object(path, "checkpoint")
+    version = _require_field(document, "format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: found {version}, "
                          f"expected {CHECKPOINT_VERSION}")
-    config_doc = document["config"]
+    config_doc = _require_field(document, "config")
     names = [f.name for f in fields(TrainConfig)]
     unknown = sorted(set(config_doc) - set(names))
     missing = [name for name in names if name not in config_doc]
@@ -361,11 +361,12 @@ def restore_checkpoint(path: str) -> CheckpointData:
         config = TrainConfig(**config_doc)
     except ValueError as err:
         raise ValueError(f"checkpoint {path} config: {err}") from None
-    dims = document["dims"]
-    model = build_model(config, int(dims["visual"]), int(dims["semantic"]),
-                        int(dims["n_classes"]))
+    dims = _require_field(document, "dims")
+    model = build_model(config, int(_require_field(dims, "visual")),
+                        int(_require_field(dims, "semantic")),
+                        int(_require_field(dims, "n_classes")))
     params = model.named_params()
-    stored = document["params"]
+    stored = _require_field(document, "params")
     if set(stored) != set(params):
         raise ValueError("checkpoint parameter names do not match the model")
     for name, p in params.items():
@@ -387,7 +388,8 @@ def restore_checkpoint(path: str) -> CheckpointData:
         else:
             raise ValueError(f"unknown pool key in checkpoint: {key!r}")
     return CheckpointData(config=config, model=model, pools=pools,
-                          loop_index=int(document["loop_index"]),
-                          rng_state=document["rng_state"],
-                          adam_states=document["adam"],
-                          seen_species=[int(s) for s in document["seen_species"]])
+                          loop_index=int(_require_field(document, "loop_index")),
+                          rng_state=_require_field(document, "rng_state"),
+                          adam_states=_require_field(document, "adam"),
+                          seen_species=[int(s) for s in
+                                        _require_field(document, "seen_species")])

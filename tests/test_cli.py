@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from mkfusion import evaluation as ev
 from mkfusion import trainer as tr
-from mkfusion.cli import main
+from mkfusion.cli import build_parser, main
 from mkfusion.dataset import load_bundle
 
 
@@ -61,6 +62,7 @@ class TestGenData:
         assert manifest["command"] == "gen-data"
         assert manifest["seed"] == 1
         assert manifest["config"]["unseen_frac"] == 0.17
+        assert manifest["config"]["noise_std"] == 0.08
 
     def test_repeated_seed_gives_identical_file(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -87,10 +89,12 @@ class TestGenData:
         config = tmp_path / "gen.json"
         config.write_text(json.dumps({"families": 2, "genera": 2, "species": 2,
                                       "samples": 2, "vis_dim": 4, "sem_dim": 3,
-                                      "seed": 2}))
+                                      "seed": 2, "sigma_family": 2}))
         path = tmp_path / "cfg.json"
         assert run("gen-data", "--config", config, "--out", path) == 0
         assert len(load_bundle(str(path)).classes) == 8
+        manifest = json.loads((tmp_path / "cfg.json.manifest.json").read_text())
+        assert repr(manifest["config"]["sigma_family"]) == "2.0"
 
 
 class TestTrain:
@@ -225,25 +229,57 @@ def assert_one_error_line(capsys, *names):
         assert name in lines[0]
 
 
+@pytest.fixture()
+def command_inputs(small_data, trained):
+    """The flags each command needs besides ``--config`` and ``--out``."""
+    checkpoint = ["--checkpoint", trained / "checkpoint.json"]
+    return {"gen-data": [],
+            "train": ["--data", small_data],
+            "eval": ["--data", small_data, *checkpoint],
+            "retrieve": ["--data", small_data, *checkpoint, "--class", 0]}
+
+
+def assert_rejected(tmp_path, capsys, command, inputs, name, config=None, flags=()):
+    """The command exits 1 with one ``error:`` line naming ``name`` and writes nothing."""
+    if config is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        flags = [*flags, "--config", path]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(command, *inputs, *flags, "--out", out) == 1
+    assert_one_error_line(capsys, name)
+    assert not out.exists()
+
+
+# Wrong values in a config file, flag or MKFUSION_SEED, each with the name
+# the error line must give: (command, config, flags, MKFUSION_SEED, name).
+# Wrong-type train values are in test_train_config_value_types_checked.
+BAD_VALUES = [
+    ("gen-data", {"families": 2.9, "samples": "3"}, [], None, "families"),
+    ("gen-data", {"sigma_family": True}, [], None, "sigma_family"),
+    ("gen-data", {"noise_std": "0.1"}, [], None, "noise_std"),
+    ("gen-data", {"seed": None}, [], None, "seed"),
+    ("gen-data", None, [], "abc", "MKFUSION_SEED"),
+    ("gen-data", None, ["--seed", -1], None, "seed"),
+    ("train", None, ["--seed", -1], None, "seed"),
+    ("eval", {"n_syn": True}, [], None, "n_syn"),
+    ("eval", {"n_syn": "4"}, [], None, "n_syn"),
+    ("eval", {"n_syn": None}, [], None, "n_syn"),
+    ("eval", None, ["--mode", "foo"], None, "mode"),
+    ("retrieve", {"k": 2.7}, [], None, "k"),
+    ("retrieve", {"k": None}, [], None, "k"),
+]
+
+
 class TestBadInput:
     @pytest.mark.parametrize("command,key", [
         ("gen-data", "samplez"), ("train", "batchsize"), ("eval", "nsyn"),
         ("retrieve", "nsyn")])
-    def test_unknown_config_key_rejected(self, tmp_path, small_data, trained,
-                                         capsys, command, key):
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps({key: 3}))
-        inputs = {"gen-data": [],
-                  "train": ["--data", small_data],
-                  "eval": ["--data", small_data, "--checkpoint",
-                           trained / "checkpoint.json"],
-                  "retrieve": ["--data", small_data, "--checkpoint",
-                               trained / "checkpoint.json", "--class", 0]}[command]
-        capsys.readouterr()
-        out = tmp_path / "out"
-        assert run(command, *inputs, "--config", config, "--out", out) == 1
-        assert_one_error_line(capsys, key)
-        assert not out.exists()
+    def test_unknown_config_key_rejected(self, tmp_path, command_inputs, capsys,
+                                         command, key):
+        assert_rejected(tmp_path, capsys, command, command_inputs[command], key,
+                        config={key: 3})
 
     def test_train_config_precedence(self, tmp_path, small_data, monkeypatch):
         def resolved(*flags, **config):
@@ -272,14 +308,18 @@ class TestBadInput:
         ({"disc_hidden": [10, "8"]}, "disc_hidden")])
     def test_train_config_value_types_checked(self, tmp_path, small_data, capsys,
                                               config, name):
-        path = tmp_path / "train.json"
-        path.write_text(json.dumps({"steps": 0, **config}))
-        capsys.readouterr()
-        out = tmp_path / "run"
-        assert run("train", "--data", small_data, "--out", out,
-                   "--config", path) == 1
-        assert_one_error_line(capsys, name)
-        assert not out.exists()
+        assert_rejected(tmp_path, capsys, "train", ["--data", small_data], name,
+                        config={"steps": 0, **config})
+
+    @pytest.mark.parametrize("command,config,flags,env,name", BAD_VALUES,
+                             ids=[f"{case[0]}-{case[-1]}" for case in BAD_VALUES])
+    def test_bad_setting_value_rejected(self, tmp_path, command_inputs, capsys,
+                                       monkeypatch, command, config, flags, env,
+                                       name):
+        if env is not None:
+            monkeypatch.setenv("MKFUSION_SEED", env)
+        assert_rejected(tmp_path, capsys, command, command_inputs[command], name,
+                        config=config, flags=flags)
 
     def test_resume_rejects_other_train_flags(self, tmp_path, small_data, trained,
                                               train_config, capsys):
@@ -320,3 +360,17 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+    def test_flags(self):
+        expected = {
+            "gen-data": "--config --families --genera --out --samples --seed --sem-dim "
+                        "--species --unseen-frac --vis-dim",
+            "train": "--config --data --kappa1 --kappa2 --lambda --n-nfg --out "
+                     "--resume --seed --steps",
+            "eval": "--checkpoint --config --data --mode --n-syn --out",
+            "retrieve": "--checkpoint --class --config --data --k --n-syn --out"}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command, flags in expected.items():
+            got = {s for a in sub.choices[command]._actions for s in a.option_strings}
+            assert got - {"-h", "--help"} == set(flags.split()), command

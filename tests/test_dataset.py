@@ -213,6 +213,7 @@ class TestPersistence:
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError, match="malformed"):
-            load_bundle(str(path))
+        for text, message in (("{not json", "malformed"), ("5", "JSON object")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                load_bundle(str(path))

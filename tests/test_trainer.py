@@ -197,9 +197,11 @@ class TestCheckpoint:
 
     def test_corrupted_file_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_text("{truncated")
-        with pytest.raises(ValueError, match="malformed"):
-            tr.restore_checkpoint(str(path))
+        for text, message in (("{truncated", "malformed"), ("[1, 2]", "JSON object"),
+                              ('{"format_version": 1}', "missing field: config")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                tr.restore_checkpoint(str(path))
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "old.ckpt"
