@@ -376,19 +376,24 @@ class AdamState:
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def state_arrays(self) -> dict:
-        """Serializable snapshot of the moment arrays and step counter."""
+        """Snapshot of the step counter and copies of the moment arrays."""
         return {
             "step_count": self.step_count,
-            "m": [a.tolist() for a in self.m],
-            "v": [a.tolist() for a in self.v],
+            "m": [a.copy() for a in self.m],
+            "v": [a.copy() for a in self.v],
         }
 
     def load_state_arrays(self, state: dict) -> None:
-        self.step_count = int(state["step_count"])
-        self.m = [np.asarray(a, dtype=np.float64).reshape(p.data.shape)
-                  for a, p in zip(state["m"], self.params)]
-        self.v = [np.asarray(a, dtype=np.float64).reshape(p.data.shape)
-                  for a, p in zip(state["v"], self.params)]
+        """Restore a ``state_arrays`` snapshot; it must hold one moment array
+        of each parameter's shape per parameter, in order."""
+        shapes = [p.data.shape for p in self.params]
+        for key in ("m", "v"):
+            if [a.shape for a in state[key]] != shapes:
+                raise ValueError(f"adam state: {key} does not hold one array of each "
+                                 f"parameter's shape for {len(shapes)} parameters")
+        self.step_count = state["step_count"]
+        self.m = list(state["m"])
+        self.v = list(state["v"])
 
 
 def clip_weights(params: Iterable[Tensor], c: float) -> None:

@@ -4,6 +4,7 @@ visual centers, synthetic benchmark generation, and JSON persistence."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -323,10 +324,61 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
 # Persistence
 # ---------------------------------------------------------------------------
 
-def _require_field(mapping: dict, name: str):
+_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list",
+          list[int]: "a list of integers"}
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether the JSON ``value`` is a ``kind``; a bool is never an int."""
+    if kind == list[int]:
+        return isinstance(value, list) and all(_is_kind(v, int) for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _require_field(mapping, name: str, kind=None):
+    """``mapping[name]``, checked to be a ``kind`` (a key of ``_KINDS``) when given."""
+    if not isinstance(mapping, dict):
+        raise ValueError(f"expected an object holding field {name!r}, "
+                         f"got {mapping!r:.40}")
     if name not in mapping:
         raise ValueError(f"missing field: {name}")
-    return mapping[name]
+    value = mapping[name]
+    if kind is not None and not _is_kind(value, kind):
+        raise ValueError(f"field {name!r} must be {_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def encode_array(a: Array) -> dict:
+    """The JSON form of a float array: its shape and its values in C order."""
+    return {"shape": list(a.shape), "data": a.ravel().tolist()}
+
+
+def decode_array(entry, what: str, shape: tuple | None = None) -> Array:
+    """The float64 array stored by ``encode_array``; ``what`` names the entry
+    in errors. ``shape``, when given, is the expected shape, with ``None``
+    for an axis of any length."""
+    try:
+        dims = _require_field(entry, "shape", list)
+        data = _require_field(entry, "data", list)
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
+    if not all(_is_kind(n, int) and n >= 0 for n in dims):
+        raise ValueError(f"{what}: shape must be a list of non-negative integers, "
+                         f"got {dims!r:.40}")
+    if shape is not None and (len(dims) != len(shape) or any(
+            want is not None and n != want for n, want in zip(dims, shape))):
+        raise ValueError(f"{what}: shape {tuple(dims)} does not match expected {shape}")
+    if len(data) != math.prod(dims):
+        raise ValueError(f"{what}: {len(data)} values do not fill shape {tuple(dims)}")
+    if not set(map(type, data)) <= {int, float}:
+        raise ValueError(f"{what}: data must be a flat list of numbers")
+    try:
+        array = np.array(data, dtype=np.float64).reshape(dims)
+    except OverflowError:
+        raise ValueError(f"{what}: value out of float range") from None
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{what}: non-finite value")
+    return array
 
 
 def read_json_object(path: str, what: str) -> dict:
@@ -355,19 +407,21 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+BUNDLE_VERSION = 1
+
+
 def save_bundle(bundle: DatasetBundle, path: str) -> None:
     document = {
+        "format_version": BUNDLE_VERSION,
         "dims": {"visual": bundle.visual_dim, "semantic": bundle.semantic_dim},
         "classes": [
             {"species_id": c.species_id, "genus_id": c.genus_id,
              "family_id": c.family_id, "name": c.name,
-             "semantic": c.semantic.tolist()}
+             "semantic": encode_array(c.semantic)}
             for c in bundle.classes
         ],
-        "samples": [
-            {"species_id": int(s), "visual": v.tolist()}
-            for s, v in zip(bundle.sample_species, bundle.sample_visuals)
-        ],
+        "samples": {"species_id": bundle.sample_species.tolist(),
+                    "visual": encode_array(bundle.sample_visuals)},
         "splits": {"seen": bundle.seen_ids, "unseen": bundle.unseen_ids},
     }
     atomic_write_text(path, json.dumps(document))
@@ -375,36 +429,34 @@ def save_bundle(bundle: DatasetBundle, path: str) -> None:
 
 def load_bundle(path: str) -> DatasetBundle:
     document = read_json_object(path, "dataset file")
-    dims = _require_field(document, "dims")
-    classes_raw = _require_field(document, "classes")
-    samples_raw = _require_field(document, "samples")
-    splits = _require_field(document, "splits")
-    visual_dim = int(_require_field(dims, "visual"))
-    semantic_dim = int(_require_field(dims, "semantic"))
+    version = _require_field(document, "format_version", int)
+    if version != BUNDLE_VERSION:
+        raise ValueError(f"dataset file version mismatch: found {version}, "
+                         f"expected {BUNDLE_VERSION}")
+    dims = _require_field(document, "dims", dict)
+    classes_raw = _require_field(document, "classes", list)
+    samples = _require_field(document, "samples", dict)
+    splits = _require_field(document, "splits", dict)
+    visual_dim = _require_field(dims, "visual", int)
+    semantic_dim = _require_field(dims, "semantic", int)
     classes = []
     for i, c in enumerate(classes_raw):
         try:
             classes.append(ClassRecord(
-                species_id=int(_require_field(c, "species_id")),
-                genus_id=int(_require_field(c, "genus_id")),
-                family_id=int(_require_field(c, "family_id")),
-                name=str(_require_field(c, "name")),
-                semantic=np.asarray(_require_field(c, "semantic"), dtype=np.float64)))
+                species_id=_require_field(c, "species_id", int),
+                genus_id=_require_field(c, "genus_id", int),
+                family_id=_require_field(c, "family_id", int),
+                name=_require_field(c, "name", str),
+                semantic=decode_array(_require_field(c, "semantic"), "semantic",
+                                      shape=(semantic_dim,))))
         except ValueError as err:
             raise ValueError(f"classes[{i}]: {err}") from None
-    species = []
-    visuals = []
-    for i, s in enumerate(samples_raw):
-        try:
-            species.append(int(_require_field(s, "species_id")))
-            visuals.append(np.asarray(_require_field(s, "visual"), dtype=np.float64))
-        except ValueError as err:
-            raise ValueError(f"samples[{i}]: {err}") from None
-    visual_matrix = (np.vstack(visuals) if visuals
-                     else np.zeros((0, visual_dim)))
+    species = _require_field(samples, "species_id", list[int])
+    visuals = decode_array(_require_field(samples, "visual"), "samples/visual",
+                           shape=(len(species), visual_dim))
     return DatasetBundle(classes=classes,
                          sample_species=np.asarray(species, dtype=np.int64),
-                         sample_visuals=visual_matrix,
-                         seen_ids=[int(i) for i in _require_field(splits, "seen")],
-                         unseen_ids=[int(i) for i in _require_field(splits, "unseen")],
+                         sample_visuals=visuals,
+                         seen_ids=_require_field(splits, "seen", list[int]),
+                         unseen_ids=_require_field(splits, "unseen", list[int]),
                          visual_dim=visual_dim, semantic_dim=semantic_dim)

@@ -4,6 +4,7 @@ schedule, offspring generation and gating, optimizer steps, and checkpoints."""
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 
@@ -13,12 +14,12 @@ from . import autodiff as ad
 from . import genetics as gn
 from . import model as mdl
 from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_text,
-                      compute_visual_centers, derive_knowledge_datasets,
-                      read_json_object)
+                      compute_visual_centers, decode_array, derive_knowledge_datasets,
+                      encode_array, read_json_object)
 
 Array = np.ndarray
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def fits(value, default) -> bool:
@@ -135,6 +136,13 @@ def build_model(config: TrainConfig, visual_dim: int, semantic_dim: int,
                          seed=config.seed)
 
 
+def adam_groups(model: mdl.FusionGan) -> dict[str, list[ad.Tensor]]:
+    """Each optimizer's checkpoint name and the parameters it updates."""
+    return {"discriminator": model.discriminator_params(),
+            "generators": model.generator_params(),
+            "fusion": model.fusion_params()}
+
+
 @dataclass
 class CheckpointData:
     config: TrainConfig
@@ -192,14 +200,12 @@ class _Session:
             self.rng = np.random.default_rng([config.seed, 1])
             self.first_loop = 1
 
-        lr = config.learning_rate
-        self.opt_d = ad.AdamState(self.model.discriminator_params(), lr=lr)
-        self.opt_g = ad.AdamState(self.model.generator_params(), lr=lr)
-        self.opt_f = ad.AdamState(self.model.fusion_params(), lr=lr)
+        self.optimizers = {name: ad.AdamState(params, lr=config.learning_rate)
+                           for name, params in adam_groups(self.model).items()}
+        self.opt_d, self.opt_g, self.opt_f = self.optimizers.values()
         if resume is not None:
-            self.opt_d.load_state_arrays(resume.adam_states["discriminator"])
-            self.opt_g.load_state_arrays(resume.adam_states["generators"])
-            self.opt_f.load_state_arrays(resume.adam_states["fusion"])
+            for name, opt in self.optimizers.items():
+                opt.load_state_arrays(resume.adam_states[name])
         self.report = TrainReport(d_updates=self.opt_d.step_count)
 
     def run_nfg_phase(self) -> None:
@@ -272,9 +278,7 @@ class _Session:
         return CheckpointData(
             config=self.config, model=self.model, pools=self.pools,
             loop_index=loop_index, rng_state=self.rng.bit_generator.state,
-            adam_states={"discriminator": self.opt_d.state_arrays(),
-                         "generators": self.opt_g.state_arrays(),
-                         "fusion": self.opt_f.state_arrays()},
+            adam_states={name: opt.state_arrays() for name, opt in self.optimizers.items()},
             seen_species=sorted(self.label_index))
 
 
@@ -317,39 +321,41 @@ def train(config: TrainConfig, bundle: DatasetBundle,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path: str, state: CheckpointData) -> None:
-    params = {name: {"shape": list(p.shape), "data": p.data.ravel().tolist()}
-              for name, p in state.model.named_params().items()}
-    pools_doc = {}
-    for (level, class_id), vectors in state.pools.enhanced.entries.items():
-        matrix = np.stack(vectors)
-        pools_doc[f"enhanced/{level}/{class_id}"] = {
-            "shape": list(matrix.shape), "data": matrix.ravel().tolist()}
-    for i, vector in enumerate(state.pools.novel.vectors):
-        pools_doc[f"novel/{i}"] = {"shape": [len(vector)], "data": vector.tolist()}
+    rows = (-1, state.model.semantic_dim)
+    pools_doc = {f"enhanced/{level}/{class_id}": encode_array(np.reshape(vectors, rows))
+                 for (level, class_id), vectors in state.pools.enhanced.entries.items()}
+    pools_doc["novel"] = encode_array(np.reshape(state.pools.novel.vectors, rows))
+    adam = {name: {"step_count": s["step_count"],
+                   "m": [encode_array(a) for a in s["m"]],
+                   "v": [encode_array(a) for a in s["v"]]}
+            for name, s in state.adam_states.items()}
     document = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(state.config),
-        "seed": state.config.seed,
         "loop_index": state.loop_index,
         "rng_state": state.rng_state,
         "seen_species": state.seen_species,
         "dims": {"visual": state.model.visual_dim,
                  "semantic": state.model.semantic_dim,
                  "n_classes": state.model.n_classes},
-        "params": params,
-        "adam": state.adam_states,
+        "params": {name: encode_array(p.data)
+                   for name, p in state.model.named_params().items()},
+        "adam": adam,
         "pools": pools_doc,
     }
     atomic_write_text(path, json.dumps(document))
 
 
+_ENHANCED_KEY = re.compile(f"enhanced/({'|'.join(LEVELS)})/(0|[1-9][0-9]*)")
+
+
 def restore_checkpoint(path: str) -> CheckpointData:
     document = read_json_object(path, "checkpoint")
-    version = _require_field(document, "format_version")
+    version = _require_field(document, "format_version", int)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: found {version}, "
                          f"expected {CHECKPOINT_VERSION}")
-    config_doc = _require_field(document, "config")
+    config_doc = _require_field(document, "config", dict)
     names = [f.name for f in fields(TrainConfig)]
     unknown = sorted(set(config_doc) - set(names))
     missing = [name for name in names if name not in config_doc]
@@ -361,35 +367,47 @@ def restore_checkpoint(path: str) -> CheckpointData:
         config = TrainConfig(**config_doc)
     except ValueError as err:
         raise ValueError(f"checkpoint {path} config: {err}") from None
-    dims = _require_field(document, "dims")
-    model = build_model(config, int(_require_field(dims, "visual")),
-                        int(_require_field(dims, "semantic")),
-                        int(_require_field(dims, "n_classes")))
+    dims = _require_field(document, "dims", dict)
+    model = build_model(config, _require_field(dims, "visual", int),
+                        _require_field(dims, "semantic", int),
+                        _require_field(dims, "n_classes", int))
     params = model.named_params()
-    stored = _require_field(document, "params")
+    stored = _require_field(document, "params", dict)
     if set(stored) != set(params):
         raise ValueError("checkpoint parameter names do not match the model")
     for name, p in params.items():
-        entry = stored[name]
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != p.shape:
-            raise ValueError(f"checkpoint parameter {name}: shape {arr.shape} "
-                             f"does not match model {p.shape}")
-        p.data = arr
+        p.data = decode_array(stored[name], f"params/{name}", p.shape)
+    adam_doc = _require_field(document, "adam", dict)
+    adam_states = {}
+    for group, group_params in adam_groups(model).items():
+        state = _require_field(adam_doc, group, dict)
+        adam_states[group] = {"step_count": _require_field(state, "step_count", int)}
+        for key in ("m", "v"):
+            entries = _require_field(state, key, list)
+            if len(entries) != len(group_params):
+                raise ValueError(f"adam/{group}/{key}: {len(entries)} arrays for "
+                                 f"{len(group_params)} parameters")
+            adam_states[group][key] = [
+                decode_array(entry, f"adam/{group}/{key}[{i}]", p.shape)
+                for i, (entry, p) in enumerate(zip(entries, group_params))]
+    pools_doc = _require_field(document, "pools", dict)
+    rows = (None, model.semantic_dim)
     pools = gn.Pools()
-    for key, entry in document.get("pools", {}).items():
-        parts = key.split("/")
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if parts[0] == "enhanced" and len(parts) == 3:
-            for row in arr:
-                pools.enhanced.add(parts[1], int(parts[2]), row)
-        elif parts[0] == "novel" and len(parts) == 2:
-            pools.novel.add(arr)
-        else:
+    pools.novel.vectors = list(decode_array(_require_field(pools_doc, "novel"),
+                                            "pools/novel", rows))
+    for key, entry in pools_doc.items():
+        match = _ENHANCED_KEY.fullmatch(key)
+        if match:
+            pools.enhanced.entries[(match[1], int(match[2]))] = list(
+                decode_array(entry, f"pools/{key}", rows))
+        elif key != "novel":
             raise ValueError(f"unknown pool key in checkpoint: {key!r}")
+    rng_state = _require_field(document, "rng_state", dict)
+    try:
+        np.random.PCG64().state = rng_state
+    except (TypeError, ValueError, KeyError) as err:
+        raise ValueError(f"checkpoint rng_state: {err!r}") from None
     return CheckpointData(config=config, model=model, pools=pools,
-                          loop_index=int(_require_field(document, "loop_index")),
-                          rng_state=_require_field(document, "rng_state"),
-                          adam_states=_require_field(document, "adam"),
-                          seen_species=[int(s) for s in
-                                        _require_field(document, "seen_species")])
+                          loop_index=_require_field(document, "loop_index", int),
+                          rng_state=rng_state, adam_states=adam_states,
+                          seen_species=_require_field(document, "seen_species", list[int]))

@@ -253,6 +253,9 @@ class TestAdam:
         assert clone.step_count == state.step_count
         np.testing.assert_array_equal(clone.m[0], state.m[0])
         np.testing.assert_array_equal(clone.v[0], state.v[0])
+        for key, arrays in (("m", []), ("v", [np.zeros(3)])):
+            with pytest.raises(ValueError, match=f"adam state: {key}"):
+                clone.load_state_arrays({**snapshot, key: arrays})
 
 
 class TestClipWeights:

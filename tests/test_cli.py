@@ -1,6 +1,8 @@
 import argparse
+import functools
 import hashlib
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -271,6 +273,28 @@ BAD_VALUES = [
     ("retrieve", {"k": None}, [], None, "k"),
 ]
 
+# A field of a saved file set to a value of the wrong JSON type, with the
+# name the error line must give: (file, path to the field, value, name).
+# Both files hold 6-d visuals and the first sample is of species 0, so a
+# cast of 6.5 or 0.5 would pass unnoticed.
+BAD_FIELDS = [
+    ("checkpoint", ("dims",), 5, "dims"),
+    ("checkpoint", ("dims", "visual"), 6.5, "visual"),
+    ("checkpoint", ("seen_species",), 5, "seen_species"),
+    ("checkpoint", ("loop_index",), [1], "loop_index"),
+    ("checkpoint", ("rng_state", "bit_generator"), "MT19937", "rng_state"),
+    ("checkpoint", ("pools", "enhanced/kingdom/0"), {"shape": [0, 5], "data": []},
+     "enhanced/kingdom/0"),
+    ("checkpoint", ("pools", "enhanced/species/07"), {"shape": [0, 5], "data": []},
+     "enhanced/species/07"),
+    ("bundle", ("dims",), 5, "dims"),
+    ("bundle", ("dims", "visual"), 6.5, "visual"),
+    ("bundle", ("classes", 0, "species_id"), 7.9, "species_id"),
+    ("bundle", ("classes", 0, "genus_id"), "3", "genus_id"),
+    ("bundle", ("classes", 0, "name"), 5, "name"),
+    ("bundle", ("samples", "species_id", 0), 0.5, "species_id"),
+]
+
 
 class TestBadInput:
     @pytest.mark.parametrize("command,key", [
@@ -320,6 +344,22 @@ class TestBadInput:
             monkeypatch.setenv("MKFUSION_SEED", env)
         assert_rejected(tmp_path, capsys, command, command_inputs[command], name,
                         config=config, flags=flags)
+
+    @pytest.mark.parametrize("kind,where,value,name", BAD_FIELDS,
+                             ids=[f"{case[0]}-{'.'.join(map(str, case[1]))}"
+                                  for case in BAD_FIELDS])
+    def test_file_field_types_checked(self, tmp_path, small_data, trained, capsys,
+                                      kind, where, value, name):
+        source = trained / "checkpoint.json" if kind == "checkpoint" else small_data
+        document = json.loads(source.read_text())
+        functools.reduce(operator.getitem, where[:-1], document)[where[-1]] = value
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_text(json.dumps(document))
+        if kind == "checkpoint":
+            command, inputs = "eval", ["--data", small_data, "--checkpoint", bad]
+        else:
+            command, inputs = "train", ["--data", bad]
+        assert_rejected(tmp_path, capsys, command, inputs, name)
 
     def test_resume_rejects_other_train_flags(self, tmp_path, small_data, trained,
                                               train_config, capsys):

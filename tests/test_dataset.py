@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from mkfusion.dataset import (
+    BUNDLE_VERSION,
     ClassRecord,
     DatasetBundle,
     LevelDataset,
     SyntheticSpec,
     compute_visual_centers,
+    decode_array,
+    encode_array,
     derive_knowledge_datasets,
     generate_synthetic,
     load_bundle,
@@ -195,25 +198,60 @@ class TestPersistence:
 
     def test_missing_top_level_field(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text(json.dumps({"dims": {"visual": 2, "semantic": 2},
+        path.write_text(json.dumps({"format_version": BUNDLE_VERSION,
+                                    "dims": {"visual": 2, "semantic": 2},
                                     "samples": [], "splits": {"seen": [], "unseen": []}}))
         with pytest.raises(ValueError, match="missing field: classes"):
             load_bundle(str(path))
 
     def test_missing_nested_field_names_entry(self, tmp_path):
         path = tmp_path / "broken.json"
-        document = {"dims": {"visual": 2, "semantic": 2},
+        semantic = {"shape": [2], "data": [0.0, 0.0]}
+        document = {"format_version": BUNDLE_VERSION,
+                    "dims": {"visual": 2, "semantic": 2},
                     "classes": [{"species_id": 0, "genus_id": 0, "family_id": 0,
-                                 "name": "a", "semantic": [0.0, 0.0]}],
-                    "samples": [{"visual": [1.0, 2.0]}],
+                                 "name": "a", "semantic": semantic},
+                                {"genus_id": 0, "family_id": 0,
+                                 "name": "b", "semantic": semantic}],
+                    "samples": {"species_id": [0],
+                                "visual": {"shape": [1, 2], "data": [1.0, 2.0]}},
                     "splits": {"seen": [0], "unseen": []}}
         path.write_text(json.dumps(document))
-        with pytest.raises(ValueError, match=r"samples\[0\].*missing field: species_id"):
+        with pytest.raises(ValueError, match=r"classes\[1\].*missing field: species_id"):
             load_bundle(str(path))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        for text, message in (("{not json", "malformed"), ("5", "JSON object")):
+        for text, message in (("{not json", "malformed"), ("5", "JSON object"),
+                              ('{"dims": {}}', "missing field: format_version"),
+                              ('{"format_version": 0}', "version mismatch: found 0,")):
             path.write_text(text)
             with pytest.raises(ValueError, match=message):
                 load_bundle(str(path))
+
+    @pytest.mark.parametrize("a", [np.arange(6.0).reshape(2, 3) / 7, np.zeros((0, 3)),
+                                   np.array(np.pi)], ids=["matrix", "empty", "scalar"])
+    def test_array_codec_roundtrip(self, a):
+        entry = json.loads(json.dumps(encode_array(a)))
+        decoded = decode_array(entry, "probe", shape=a.shape)
+        assert decoded.dtype == np.float64 and decoded.shape == a.shape
+        assert decoded.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("entry,message", [
+        ([1.0], "expected an object"),
+        ({"data": [1.0]}, "missing field: shape"),
+        ({"shape": [1]}, "missing field: data"),
+        ({"shape": [1.0], "data": [1.0]}, "non-negative integers"),
+        ({"shape": [True], "data": [1.0]}, "non-negative integers"),
+        ({"shape": [-1], "data": []}, "non-negative integers"),
+        ({"shape": [1, 1], "data": [1.0]}, "does not match expected"),
+        ({"shape": [2], "data": [1.0]}, "do not fill"),
+        ({"shape": [1], "data": [[1.0]]}, "flat list of numbers"),
+        ({"shape": [1], "data": ["1.0"]}, "flat list of numbers"),
+        ({"shape": [1], "data": [True]}, "flat list of numbers"),
+        ({"shape": [1], "data": [10 ** 400]}, "out of float range"),
+        ({"shape": [1], "data": [float("inf")]}, "non-finite"),
+    ])
+    def test_decode_array_rejects(self, entry, message):
+        with pytest.raises(ValueError, match=f"^probe: .*{message}"):
+            decode_array(entry, "probe", shape=(None,))

@@ -1,8 +1,15 @@
+import copy
+import functools
+import json
+import operator
+import re
+
 import numpy as np
 import pytest
 
 from mkfusion import trainer as tr
-from mkfusion.dataset import DatasetBundle, SyntheticSpec, generate_synthetic
+from mkfusion.dataset import (DatasetBundle, SyntheticSpec, generate_synthetic, load_bundle,
+                              save_bundle)
 from mkfusion.trainer import TrainConfig
 
 
@@ -17,6 +24,49 @@ def small_config(**overrides):
 def small_bundle(seed=1):
     return generate_synthetic(SyntheticSpec(samples_per_species=4, visual_dim=8,
                                             semantic_dim=6), seed=seed)
+
+
+def pooled_run():
+    """A three-loop run whose enhanced and novel pools each hold several vectors."""
+    result = tr.train(small_config(steps=3, n_nfg=0, kappa1=0.3, kappa2=0.1),
+                      small_bundle())
+    assert len(result.pools.enhanced.entries) > 1 and result.pools.novel.size > 1
+    return result
+
+
+def saved_checkpoint(tmp_path):
+    """The path and parsed document of a saved ``pooled_run`` checkpoint."""
+    path = tmp_path / "run.ckpt"
+    tr.save_checkpoint(str(path), pooled_run().state)
+    return path, json.loads(path.read_text())
+
+
+def corrupted(entry, how):
+    """A copy of the encoded array ``entry`` damaged in the way ``how`` names."""
+    entry = copy.deepcopy(entry)
+    if how == "drop data":
+        del entry["data"]
+    elif how == "truncate data":
+        entry["data"].pop()
+    elif how == "NaN":
+        entry["data"][0] = float("nan")
+    else:
+        return entry["data"]
+    return entry
+
+
+def assert_each_corruption_named(document, path, load, entries):
+    """Every damage to every ``(where, name)`` entry makes ``load`` raise a
+    ValueError that gives ``name``."""
+    for where, name in entries:
+        parent = functools.reduce(operator.getitem, where[:-1], document)
+        original = parent[where[-1]]
+        for how in ("drop data", "truncate data", "NaN", "list"):
+            parent[where[-1]] = corrupted(original, how)
+            path.write_text(json.dumps(document))
+            with pytest.raises(ValueError, match=re.escape(name)):
+                load(str(path))
+        parent[where[-1]] = original
 
 
 def csv_without_seconds(report: tr.TrainReport) -> str:
@@ -157,7 +207,7 @@ class TestZslContract:
 
 class TestCheckpoint:
     def test_roundtrip_is_bit_identical(self, tmp_path):
-        result = tr.train(small_config(steps=3, n_nfg=0), small_bundle())
+        result = pooled_run()
         path = tmp_path / "run.ckpt"
         tr.save_checkpoint(str(path), result.state)
         restored = tr.restore_checkpoint(str(path))
@@ -165,6 +215,15 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p.data, restored.model.named_params()[name].data)
         assert restored.loop_index == 3
         assert restored.rng_state == result.state.rng_state
+        assert list(restored.adam_states) == list(result.state.adam_states)
+        for name, state in result.state.adam_states.items():
+            stored = restored.adam_states[name]
+            assert stored["step_count"] == state["step_count"] > 0
+            for key in ("m", "v"):
+                assert len(stored[key]) == len(state[key])
+                for a, b in zip(state[key], stored[key]):
+                    np.testing.assert_array_equal(a, b)
+        assert list(restored.pools.enhanced.entries) == list(result.pools.enhanced.entries)
         assert restored.pools.enhanced.size == result.pools.enhanced.size
         assert restored.pools.novel.size == result.pools.novel.size
         for (key, vectors) in result.pools.enhanced.entries.items():
@@ -198,16 +257,56 @@ class TestCheckpoint:
     def test_corrupted_file_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         for text, message in (("{truncated", "malformed"), ("[1, 2]", "JSON object"),
-                              ('{"format_version": 1}', "missing field: config")):
+                              (f'{{"format_version": {tr.CHECKPOINT_VERSION}}}',
+                               "missing field: config")):
             path.write_text(text)
             with pytest.raises(ValueError, match=message):
                 tr.restore_checkpoint(str(path))
 
+    def test_corrupted_array_entries_are_named(self, tmp_path):
+        path, document = saved_checkpoint(tmp_path)
+        entries = [(("params", name), f"params/{name}") for name in document["params"]]
+        for group, state in document["adam"].items():
+            entries += [(("adam", group, key, i), f"adam/{group}/{key}[{i}]")
+                        for key in ("m", "v") for i in range(len(state[key]))]
+        entries += [(("pools", key), f"pools/{key}") for key in document["pools"]]
+        assert_each_corruption_named(document, path, tr.restore_checkpoint, entries)
+        for group, state in document["adam"].items():
+            for key in ("m", "v"):
+                whole = state[key]
+                state[key] = whole[:-1]
+                path.write_text(json.dumps(document))
+                with pytest.raises(ValueError, match=re.escape(f"adam/{group}/{key}")):
+                    tr.restore_checkpoint(str(path))
+                state[key] = whole
+
+        path = tmp_path / "bundle.json"
+        save_bundle(small_bundle(), str(path))
+        document = json.loads(path.read_text())
+        entries = [(("classes", i, "semantic"), f"classes[{i}]: semantic")
+                   for i in range(len(document["classes"]))]
+        entries.append((("samples", "visual"), "samples/visual"))
+        assert_each_corruption_named(document, path, load_bundle, entries)
+
+    @pytest.mark.parametrize("key", ["enhanced", "novel"])
+    @pytest.mark.parametrize("reshape", [lambda n, d: [n * d], lambda n, d: [n * d, 1]],
+                             ids=["one-dimensional", "wrong-width"])
+    def test_pool_matrix_shape_checked(self, tmp_path, key, reshape):
+        path, document = saved_checkpoint(tmp_path)
+        if key == "enhanced":
+            key = next(k for k in document["pools"] if k.startswith("enhanced/"))
+        entry = document["pools"][key]
+        entry["shape"] = reshape(*entry["shape"])
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=re.escape(f"pools/{key}: shape")):
+            tr.restore_checkpoint(str(path))
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "old.ckpt"
-        path.write_text('{"format_version": 99}')
-        with pytest.raises(ValueError, match="version mismatch"):
-            tr.restore_checkpoint(str(path))
+        for version in (99, 1):
+            path.write_text(f'{{"format_version": {version}}}')
+            with pytest.raises(ValueError, match=f"version mismatch: found {version},"):
+                tr.restore_checkpoint(str(path))
 
     def test_mismatched_bundle_rejected_on_resume(self, tmp_path):
         result = tr.train(small_config(steps=1), small_bundle())
