@@ -6,6 +6,13 @@ while gradients are enabled. ``backward(loss, wrt=tensors)`` replays only the
 part of the tape that lies on a path from ``tensors`` to ``loss`` and returns
 the gradients as arrays, one per tensor; no tensor holds gradient state. The
 tape is cleared explicitly by the caller between training steps.
+
+Each recorded op has a vector-Jacobian product ``vjp(g, need)``: ``g`` is the
+gradient of the loss with respect to the op's output, and ``need`` holds one
+bool per input, true when that input lies on a path from ``wrt``. The vjp
+returns one entry per input: the gradient for each needed input and ``None``
+for the rest, which it does not compute (data batches, and parameters that
+are not in ``wrt``).
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 Array = np.ndarray
+# vjp(output gradient, which inputs need a gradient) -> one gradient or None per input.
+Vjp = Callable[[Array, tuple[bool, ...]], tuple[Array | None, ...]]
 
 
 class Tensor:
@@ -29,7 +38,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor data contains non-finite entries")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -67,8 +76,7 @@ class _Node:
 
     __slots__ = ("inputs", "output", "vjp")
 
-    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor,
-                 vjp: Callable[[Array], tuple[Array | None, ...]]):
+    def __init__(self, inputs: tuple[Tensor, ...], output: Tensor, vjp: Vjp):
         self.inputs = inputs
         self.output = output
         self.vjp = vjp
@@ -99,12 +107,14 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _record(inputs: tuple[Tensor, ...], out_data: Array,
-            vjp: Callable[[Array], tuple[Array | None, ...]]) -> Tensor:
+def _record(inputs: tuple[Tensor, ...], out_data: Array, vjp: Vjp) -> Tensor:
     out = Tensor(out_data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        _graph.append(_Node(inputs, out, vjp))
+    if _grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                _graph.append(_Node(inputs, out, vjp))
+                break
     return out
 
 
@@ -122,8 +132,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                    "matmul", a.shape, b.shape)
     ad, bd = a.data, b.data
 
-    def vjp(g: Array):
-        return g @ bd.T, ad.T @ g
+    def vjp(g: Array, need):
+        return g @ bd.T if need[0] else None, ad.T @ g if need[1] else None
 
     return _record((a, b), ad @ bd, vjp)
 
@@ -131,27 +141,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     # Equal shapes, or matrix + row vector (bias added to every row).
     if a.shape == b.shape:
-        return _record((a, b), a.data + b.data, lambda g: (g, g))
+        return _record((a, b), a.data + b.data,
+                       lambda g, need: (g if need[0] else None, g if need[1] else None))
     _require_shape(a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0],
                    "add", a.shape, b.shape)
-    return _record((a, b), a.data + b.data, lambda g: (g, g.sum(axis=0)))
+    return _record((a, b), a.data + b.data,
+                   lambda g, need: (g if need[0] else None,
+                                    g.sum(axis=0) if need[1] else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_shape(a.shape == b.shape, "sub", a.shape, b.shape)
-    return _record((a, b), a.data - b.data, lambda g: (g, -g))
+    return _record((a, b), a.data - b.data,
+                   lambda g, need: (g if need[0] else None, -g if need[1] else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     # Equal shapes, or matrix * column vector (each row scaled by one entry).
-    if a.shape == b.shape:
-        ad, bd = a.data, b.data
-        return _record((a, b), ad * bd, lambda g: (g * bd, g * ad))
-    _require_shape(a.ndim == 2 and b.shape == (a.shape[0], 1), "mul", a.shape, b.shape)
     ad, bd = a.data, b.data
+    if a.shape == b.shape:
+        return _record((a, b), ad * bd, lambda g, need: (g * bd if need[0] else None,
+                                                         g * ad if need[1] else None))
+    _require_shape(a.ndim == 2 and b.shape == (a.shape[0], 1), "mul", a.shape, b.shape)
 
-    def vjp(g: Array):
-        return g * bd, (g * ad).sum(axis=1, keepdims=True)
+    def vjp(g: Array, need):
+        return (g * bd if need[0] else None,
+                (g * ad).sum(axis=1, keepdims=True) if need[1] else None)
 
     return _record((a, b), ad * bd, vjp)
 
@@ -159,55 +174,58 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     _require_shape(a.shape == b.shape, "div", a.shape, b.shape)
     ad, bd = a.data, b.data
-    out = ad / bd
 
-    def vjp(g: Array):
-        return g / bd, -g * ad / (bd * bd)
+    def vjp(g: Array, need):
+        return g / bd if need[0] else None, -g * ad / (bd * bd) if need[1] else None
 
-    return _record((a, b), out, vjp)
+    return _record((a, b), ad / bd, vjp)
 
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _record((a,), a.data * c, lambda g: (g * c,))
+    return _record((a,), a.data * c, lambda g, need: (g * c,))
 
 
 def reduce_mean(a: Tensor) -> Tensor:
     n = a.data.size
     shape = a.shape
     return _record((a,), np.asarray(a.data.mean()),
-                   lambda g: (np.full(shape, g / n),))
+                   lambda g, need: (np.full(shape, g / n),))
 
 
 def reduce_sum(a: Tensor) -> Tensor:
     shape = a.shape
     return _record((a,), np.asarray(a.data.sum()),
-                   lambda g: (np.full(shape, g),))
+                   lambda g, need: (np.full(shape, g),))
 
 
 def square(a: Tensor) -> Tensor:
     ad = a.data
-    return _record((a,), ad * ad, lambda g: (2.0 * ad * g,))
+    return _record((a,), ad * ad, lambda g, need: (2.0 * ad * g,))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError("log: input must be strictly positive")
     ad = a.data
-    return _record((a,), np.log(ad), lambda g: (g / ad,))
+    return _record((a,), np.log(ad), lambda g, need: (g / ad,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     e = np.exp(-np.abs(a.data))
     out = np.where(a.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return _record((a,), out, lambda g: (g * out * (1.0 - out),))
+    return _record((a,), out, lambda g, need: (g * out * (1.0 - out),))
 
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
+    """x where x > 0, else alpha * x; ``alpha`` must lie in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"leaky_relu: alpha must lie in [0, 1], got {alpha!r}")
     ad = a.data
-    positive = ad > 0.0
-    return _record((a,), np.where(positive, ad, alpha * ad),
-                   lambda g: (np.where(positive, g, alpha * g),))
+    # For 0 <= alpha <= 1 the larger of x and alpha*x is the leaky-relu, and the
+    # larger of sign(x) and alpha is its slope (alpha at x = 0).
+    return _record((a,), np.maximum(ad, alpha * ad),
+                   lambda g, need: (g * np.maximum(np.sign(ad), alpha),))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -217,7 +235,7 @@ def softmax(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
 
-    def vjp(g: Array):
+    def vjp(g: Array, need):
         inner = (g * out).sum(axis=1, keepdims=True)
         return (out * (g - inner),)
 
@@ -229,8 +247,8 @@ def l2_squared_distance(a: Tensor, b: Tensor) -> Tensor:
     _require_shape(a.shape == b.shape, "l2_squared_distance", a.shape, b.shape)
     diff = a.data - b.data
 
-    def vjp(g: Array):
-        return 2.0 * diff * g, -2.0 * diff * g
+    def vjp(g: Array, need):
+        return 2.0 * diff * g if need[0] else None, -2.0 * diff * g if need[1] else None
 
     return _record((a, b), np.asarray((diff * diff).sum()), vjp)
 
@@ -250,7 +268,7 @@ def cross_entropy_with_logits(logits: Tensor, labels: Array) -> Tensor:
     picked = x[np.arange(n), labels]
     out = np.asarray((lse - picked).mean())
 
-    def vjp(g: Array):
+    def vjp(g: Array, need):
         probs = np.exp(x - xmax)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[np.arange(n), labels] -= 1.0
@@ -269,9 +287,9 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("cosine_similarity: undefined for zero-norm vector")
     cos = float(ad @ bd) / (na * nb)
 
-    def vjp(g: Array):
-        ga = (bd / (na * nb) - cos * ad / (na * na)) * g
-        gb = (ad / (na * nb) - cos * bd / (nb * nb)) * g
+    def vjp(g: Array, need):
+        ga = (bd / (na * nb) - cos * ad / (na * na)) * g if need[0] else None
+        gb = (ad / (na * nb) - cos * bd / (nb * nb)) * g if need[1] else None
         return ga, gb
 
     return _record((a, b), np.asarray(cos), vjp)
@@ -305,15 +323,16 @@ def backward(loss: Tensor, *, wrt: Sequence[Tensor]) -> list[Array]:
     """d(loss)/d(t) for each tensor ``t`` in ``wrt``, in order.
 
     ``wrt`` holds tensors that no taped op produced, such as parameters. Only
-    tape nodes on a path from ``wrt`` to ``loss`` run their vjp. Raises if
-    ``loss`` does not depend on some ``wrt[i]``.
+    tape nodes on a path from ``wrt`` to ``loss`` run their vjp, and each vjp
+    computes gradients only for its inputs on such a path. Raises if ``loss``
+    does not depend on some ``wrt[i]``.
     """
     if loss.shape != ():
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
     live = {id(t) for t in wrt}  # tensors that depend on some wrt tensor
     path = []
     for node in _graph:
-        if any(id(t) in live for t in node.inputs):
+        if not live.isdisjoint(map(id, node.inputs)):
             live.add(id(node.output))
             path.append(node)
         if node.output is loss:
@@ -326,8 +345,9 @@ def backward(loss: Tensor, *, wrt: Sequence[Tensor]) -> list[Array]:
         g = pending.pop(id(node.output), None)
         if g is None:
             continue
-        for tensor, gin in zip(node.inputs, node.vjp(g)):
-            if gin is not None and id(tensor) in live:
+        need = tuple(id(t) in live for t in node.inputs)
+        for tensor, gin in zip(node.inputs, node.vjp(g, need)):
+            if gin is not None:
                 acc = pending.get(id(tensor))
                 pending[id(tensor)] = gin if acc is None else acc + gin
     for i, t in enumerate(wrt):
@@ -343,8 +363,8 @@ def backward(loss: Tensor, *, wrt: Sequence[Tensor]) -> list[Array]:
 class AdamState:
     """Adam with bias correction over a fixed parameter list.
 
-    First and second moment arrays track the parameters positionally; the
-    step count increases by one per ``step`` call.
+    First and second moment arrays track the parameters positionally and are
+    updated in place; the step count increases by one per ``step`` call.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
@@ -368,12 +388,22 @@ class AdamState:
         self.step_count += 1
         t = self.step_count
         b1, b2 = self.beta1, self.beta2
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / (1.0 - b1 ** t)
-            v_hat = self.v[i] / (1.0 - b2 ** t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # In place, keeping the operation order (and so the bits) of
+        #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        #   p -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
+        for p, m, v, g in zip(self.params, self.m, self.v, grads):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            gg = (1.0 - b2) * g
+            gg *= g
+            v += gg
+            update = m / (1.0 - b1 ** t)
+            update *= self.lr
+            denom = np.sqrt(v / (1.0 - b2 ** t))
+            denom += self.eps
+            update /= denom
+            p.data -= update
 
     def state_arrays(self) -> dict:
         """Snapshot of the step counter and copies of the moment arrays."""
@@ -392,8 +422,8 @@ class AdamState:
                 raise ValueError(f"adam state: {key} does not hold one array of each "
                                  f"parameter's shape for {len(shapes)} parameters")
         self.step_count = state["step_count"]
-        self.m = list(state["m"])
-        self.v = list(state["v"])
+        self.m = [a.copy() for a in state["m"]]
+        self.v = [a.copy() for a in state["v"]]
 
 
 def clip_weights(params: Iterable[Tensor], c: float) -> None:

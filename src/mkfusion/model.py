@@ -85,8 +85,10 @@ class DiscriminatorNet:
         return [self.w1, self.b1, self.w2, self.b2, self.w_real, self.b_real]
 
 
-def discriminate(disc: DiscriminatorNet, x: Tensor | Array) -> tuple[Tensor, Tensor]:
-    """Return (realness column, class logit rows) for a batch of visual rows."""
+def discriminate(disc: DiscriminatorNet, x: Tensor | Array, *, classify: bool = True
+                 ) -> tuple[Tensor, Tensor | None]:
+    """Return (realness column, class logit rows) for a batch of visual rows;
+    with ``classify=False`` the class head does not run and the logits are None."""
     if not isinstance(x, Tensor):
         x = Tensor(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != disc.visual_dim:
@@ -95,8 +97,9 @@ def discriminate(disc: DiscriminatorNet, x: Tensor | Array) -> tuple[Tensor, Ten
     h = ad.leaky_relu(ad.add(ad.matmul(x, disc.w1), disc.b1), alpha=disc.alpha)
     h = ad.leaky_relu(ad.add(ad.matmul(h, disc.w2), disc.b2), alpha=disc.alpha)
     realness = ad.add(ad.matmul(h, disc.w_real), disc.b_real)
-    logits = ad.add(ad.matmul(h, disc.w_cls), disc.b_cls)
-    return realness, logits
+    if not classify:
+        return realness, None
+    return realness, ad.add(ad.matmul(h, disc.w_cls), disc.b_cls)
 
 
 class FusionNet:
@@ -253,7 +256,7 @@ def loss_discriminator(disc: DiscriminatorNet, real: Array, fake: Array,
     classification of the real batch. ``fake`` is treated as a constant."""
     real_t = Tensor(np.asarray(real, dtype=np.float64))
     fake_t = Tensor(np.asarray(fake, dtype=np.float64))
-    realness_fake, _ = discriminate(disc, fake_t)
+    realness_fake, _ = discriminate(disc, fake_t, classify=False)
     realness_real, logits_real = discriminate(disc, real_t)
     wasserstein = ad.sub(ad.reduce_mean(realness_fake), ad.reduce_mean(realness_real))
     return ad.add(wasserstein, ad.cross_entropy_with_logits(logits_real, labels))

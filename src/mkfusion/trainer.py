@@ -78,6 +78,8 @@ class TrainConfig:
             raise ValueError("offspring budget must be non-negative")
         if self.fusion_mode not in ("adaptive", "summing"):
             raise ValueError(f"unknown fusion mode: {self.fusion_mode!r}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         self.disc_hidden = tuple(self.disc_hidden)
 
 
@@ -188,6 +190,10 @@ class _Session:
         if resume is not None:
             if resume.seen_species != sorted(bundle.seen_ids):
                 raise ValueError("checkpoint seen classes do not match the bundle")
+            for level, class_id in resume.pools.enhanced.entries:
+                if (level, class_id) not in self.groups:
+                    raise ValueError(f"checkpoint pool enhanced/{level}/{class_id}: "
+                                     f"the bundle has no seen {level} {class_id}")
             self.model = resume.model
             self.pools = resume.pools
             self.rng = np.random.default_rng()
@@ -346,6 +352,15 @@ def save_checkpoint(path: str, state: CheckpointData) -> None:
     atomic_write_text(path, json.dumps(document))
 
 
+def _require_count(mapping, name: str, least: int, where: str) -> int:
+    """The integer field ``mapping[name]``, which must be at least ``least``;
+    ``where`` names the field in errors."""
+    value = _require_field(mapping, name, int)
+    if value < least:
+        raise ValueError(f"checkpoint {where} must be at least {least}, got {value}")
+    return value
+
+
 _ENHANCED_KEY = re.compile(f"enhanced/({'|'.join(LEVELS)})/(0|[1-9][0-9]*)")
 
 
@@ -368,9 +383,8 @@ def restore_checkpoint(path: str) -> CheckpointData:
     except ValueError as err:
         raise ValueError(f"checkpoint {path} config: {err}") from None
     dims = _require_field(document, "dims", dict)
-    model = build_model(config, _require_field(dims, "visual", int),
-                        _require_field(dims, "semantic", int),
-                        _require_field(dims, "n_classes", int))
+    model = build_model(config, *(_require_count(dims, name, 1, f"dims/{name}")
+                                  for name in ("visual", "semantic", "n_classes")))
     params = model.named_params()
     stored = _require_field(document, "params", dict)
     if set(stored) != set(params):
@@ -381,7 +395,8 @@ def restore_checkpoint(path: str) -> CheckpointData:
     adam_states = {}
     for group, group_params in adam_groups(model).items():
         state = _require_field(adam_doc, group, dict)
-        adam_states[group] = {"step_count": _require_field(state, "step_count", int)}
+        adam_states[group] = {"step_count": _require_count(
+            state, "step_count", 0, f"adam/{group}/step_count")}
         for key in ("m", "v"):
             entries = _require_field(state, key, list)
             if len(entries) != len(group_params):
@@ -408,6 +423,7 @@ def restore_checkpoint(path: str) -> CheckpointData:
     except (TypeError, ValueError, KeyError) as err:
         raise ValueError(f"checkpoint rng_state: {err!r}") from None
     return CheckpointData(config=config, model=model, pools=pools,
-                          loop_index=_require_field(document, "loop_index", int),
+                          loop_index=_require_count(document, "loop_index", 0,
+                                                    "loop_index"),
                           rng_state=rng_state, adam_states=adam_states,
                           seen_species=_require_field(document, "seen_species", list[int]))

@@ -62,6 +62,11 @@ class TestForward:
             assert getattr(ad, op.__name__) is op
         assert ad.OPS["scalar-mul"](t([2.0]), 3.0).data[0] == 6.0
 
+    def test_leaky_relu_alpha_range(self):
+        for alpha in (-0.1, 1.5):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                ad.leaky_relu(t([1.0]), alpha=alpha)
+
     def test_cross_entropy_label_validation(self):
         logits = t(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="label out of range"):
@@ -147,6 +152,69 @@ class TestBackward:
             out = ad.square(w)
         assert len(ad.active_graph()) == 0
         assert not out.requires_grad
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def leaky_relu_reference(x, alpha):
+    """The masked-select leaky-relu the branch-free op must reproduce bit for bit."""
+    return np.where(x > 0.0, x, alpha * x)
+
+
+def leaky_relu_vjp_reference(x, g, alpha):
+    return np.where(x > 0.0, g, alpha * g)
+
+
+class TestLeakyReluBits:
+    TINY = np.finfo(np.float64).smallest_subnormal
+    X = np.array([0.0, -0.0, TINY, -TINY, 7 * TINY, -7 * TINY, 1e-310, -1e-310,
+                  0.5, -0.5, 3.0, -3.0, 1e300, -1e300])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+    def test_forward_and_vjp_match_masked_select(self, alpha):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([self.X, rng.normal(0, 1, 50)])
+        grads = [np.ones_like(x), -np.ones_like(x), np.zeros_like(x), -np.zeros_like(x),
+                 rng.permutation(np.resize(self.X, x.shape)), rng.normal(0, 1, x.shape)]
+        out = ad.leaky_relu(t(x, requires_grad=True), alpha=alpha)
+        assert bits(out.data) == bits(leaky_relu_reference(x, alpha))
+        (node,) = ad.active_graph()
+        for g in grads:
+            (got,) = node.vjp(g, (True,))
+            assert bits(got) == bits(leaky_relu_vjp_reference(x, g, alpha))
+
+
+class TestVjpNeeds:
+    """A vjp computes gradients only for the inputs marked as needed."""
+
+    @pytest.mark.parametrize("case", ["matmul", "add", "add-bias", "sub", "mul",
+                                      "mul-column", "div", "l2-squared-distance",
+                                      "cosine-similarity"])
+    def test_unneeded_inputs_get_none(self, case):
+        rng = np.random.default_rng(hash(case) % (2 ** 31))
+        inputs = OP_CASES[case](rng)
+        out = (OP_BUILDERS.get(case) or ad.OPS[case])(*inputs)
+        (node,) = ad.active_graph()
+        g = rng.normal(0, 1, out.shape)
+        both = node.vjp(g, (True, True))
+        assert node.vjp(g, (False, False)) == (None, None)
+        first, none = node.vjp(g, (True, False))
+        none_too, second = node.vjp(g, (False, True))
+        assert none is None and none_too is None
+        assert bits(first) == bits(both[0]) and bits(second) == bits(both[1])
+
+    def test_data_matrix_gradient_is_not_computed(self):
+        x = t(np.ones((2, 3)))
+        w = t(np.ones((3, 4)), requires_grad=True)
+        loss = ad.reduce_sum(ad.matmul(x, w))
+        calls = []
+        node = ad.active_graph()[0]
+        vjp = node.vjp
+        node.vjp = lambda g, need: calls.append(need) or vjp(g, need)
+        ad.backward(loss, wrt=[w])
+        assert calls == [(False, True)]
 
 
 OP_CASES = {
@@ -256,6 +324,51 @@ class TestAdam:
         for key, arrays in (("m", []), ("v", [np.zeros(3)])):
             with pytest.raises(ValueError, match=f"adam state: {key}"):
                 clone.load_state_arrays({**snapshot, key: arrays})
+
+
+def adam_reference(params, m, v, grads, t, lr=1e-3, b1=0.5, b2=0.9, eps=1e-8):
+    """The out-of-place Adam step the in-place update must reproduce bit for bit."""
+    out = []
+    for p, mi, vi, g in zip(params, m, v, grads):
+        mi = b1 * mi + (1.0 - b1) * g
+        vi = b2 * vi + (1.0 - b2) * g * g
+        m_hat = mi / (1.0 - b1 ** t)
+        v_hat = vi / (1.0 - b2 ** t)
+        out.append((p - lr * m_hat / (np.sqrt(v_hat) + eps), mi, vi))
+    return [list(col) for col in zip(*out)]
+
+
+class TestAdamBits:
+    def test_five_steps_match_out_of_place_reference(self):
+        rng = np.random.default_rng(8)
+        shapes = [(4, 3), (3,), ()]
+        params = [t(rng.normal(0, 1, s), requires_grad=True) for s in shapes]
+        state = ad.AdamState(params, lr=0.01)
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        for step in range(1, 6):
+            grads = [rng.normal(0, 10.0 ** rng.integers(-6, 3), s) for s in shapes]
+            grads[0][0, 0] = 0.0
+            state.step(grads)
+            ref_p, ref_m, ref_v = adam_reference(ref_p, ref_m, ref_v, grads, step,
+                                                 lr=0.01)
+            for p, m, v, rp, rm, rv in zip(params, state.m, state.v, ref_p, ref_m, ref_v):
+                assert bits(p.data) == bits(rp)
+                assert bits(m) == bits(rm) and bits(v) == bits(rv)
+
+    def test_loaded_snapshot_is_not_written_by_steps(self):
+        p = t([1.0, 2.0], requires_grad=True)
+        state = ad.AdamState([p])
+        state.step([np.array([0.3, -0.4])])
+        snapshot = state.state_arrays()
+        kept = {key: [a.copy() for a in snapshot[key]] for key in ("m", "v")}
+        clone = ad.AdamState([t([1.0, 2.0], requires_grad=True)])
+        clone.load_state_arrays(snapshot)
+        clone.step([np.array([1.0, 1.0])])
+        for key in ("m", "v"):
+            assert bits(snapshot[key][0]) == bits(kept[key][0])
+            assert bits(getattr(clone, key)[0]) != bits(kept[key][0])
 
 
 class TestClipWeights:

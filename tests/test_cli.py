@@ -265,6 +265,7 @@ BAD_VALUES = [
     ("gen-data", None, [], "abc", "MKFUSION_SEED"),
     ("gen-data", None, ["--seed", -1], None, "seed"),
     ("train", None, ["--seed", -1], None, "seed"),
+    ("train", {"alpha": 1.5}, [], None, "alpha"),
     ("eval", {"n_syn": True}, [], None, "n_syn"),
     ("eval", {"n_syn": "4"}, [], None, "n_syn"),
     ("eval", {"n_syn": None}, [], None, "n_syn"),
@@ -294,6 +295,33 @@ BAD_FIELDS = [
     ("bundle", ("classes", 0, "name"), 5, "name"),
     ("bundle", ("samples", "species_id", 0), 0.5, "species_id"),
 ]
+
+
+# A checkpoint field set to an integer out of its range, with the name the
+# error line must give: (path to the field, value, name).
+OUT_OF_RANGE_FIELDS = [
+    (("loop_index",), -5, "loop_index"),
+    (("adam", "fusion", "step_count"), -1, "adam/fusion/step_count"),
+    (("dims", "visual"), -6, "dims/visual"),
+    (("dims", "semantic"), 0, "dims/semantic"),
+    (("dims", "n_classes"), 0, "dims/n_classes"),
+]
+
+
+def assert_field_rejected(tmp_path, capsys, small_data, trained, kind, where, value,
+                          name):
+    """The ``kind`` file with the field at ``where`` set to ``value`` makes
+    ``eval`` (a checkpoint) or ``train`` (a bundle) fail on one line naming ``name``."""
+    source = trained / "checkpoint.json" if kind == "checkpoint" else small_data
+    document = json.loads(source.read_text())
+    functools.reduce(operator.getitem, where[:-1], document)[where[-1]] = value
+    bad = tmp_path / f"bad-{kind}.json"
+    bad.write_text(json.dumps(document))
+    if kind == "checkpoint":
+        command, inputs = "eval", ["--data", small_data, "--checkpoint", bad]
+    else:
+        command, inputs = "train", ["--data", bad]
+    assert_rejected(tmp_path, capsys, command, inputs, name)
 
 
 class TestBadInput:
@@ -350,16 +378,28 @@ class TestBadInput:
                                   for case in BAD_FIELDS])
     def test_file_field_types_checked(self, tmp_path, small_data, trained, capsys,
                                       kind, where, value, name):
-        source = trained / "checkpoint.json" if kind == "checkpoint" else small_data
-        document = json.loads(source.read_text())
-        functools.reduce(operator.getitem, where[:-1], document)[where[-1]] = value
-        bad = tmp_path / f"bad-{kind}.json"
-        bad.write_text(json.dumps(document))
-        if kind == "checkpoint":
-            command, inputs = "eval", ["--data", small_data, "--checkpoint", bad]
-        else:
-            command, inputs = "train", ["--data", bad]
-        assert_rejected(tmp_path, capsys, command, inputs, name)
+        assert_field_rejected(tmp_path, capsys, small_data, trained, kind, where, value,
+                              name)
+
+    @pytest.mark.parametrize("where,value,name", OUT_OF_RANGE_FIELDS,
+                             ids=[".".join(case[0]) for case in OUT_OF_RANGE_FIELDS])
+    def test_checkpoint_field_ranges_checked(self, tmp_path, small_data, trained,
+                                             capsys, where, value, name):
+        assert_field_rejected(tmp_path, capsys, small_data, trained, "checkpoint", where,
+                              value, name)
+
+    def test_resume_rejects_pool_class_missing_from_bundle(self, tmp_path, small_data,
+                                                           trained, capsys):
+        document = json.loads((trained / "checkpoint.json").read_text())
+        document["pools"]["enhanced/species/999"] = {"shape": [1, 5], "data": [0.5] * 5}
+        checkpoint = tmp_path / "bad-checkpoint.json"
+        checkpoint.write_text(json.dumps(document))
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        assert run("train", "--data", small_data, "--out", out,
+                   "--resume", checkpoint, "--steps", 3) == 1
+        assert_one_error_line(capsys, "enhanced/species/999")
+        assert not out.exists()
 
     def test_resume_rejects_other_train_flags(self, tmp_path, small_data, trained,
                                               train_config, capsys):
@@ -374,7 +414,8 @@ class TestBadInput:
     @pytest.mark.parametrize("change,name", [
         (lambda config: config.update(bogus=1), "bogus"),
         (lambda config: config.pop("alpha"), "alpha"),
-        (lambda config: config.update(batch_size="8"), "batch_size")])
+        (lambda config: config.update(batch_size="8"), "batch_size"),
+        (lambda config: config.update(alpha=1.5), "alpha must lie in")])
     def test_checkpoint_config_keys_checked(self, tmp_path, small_data, trained,
                                             capsys, change, name):
         document = json.loads((trained / "checkpoint.json").read_text())

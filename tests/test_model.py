@@ -84,6 +84,17 @@ class TestDiscriminate:
         with pytest.raises(ValueError, match="expected"):
             mdl.discriminate(m.discriminator, np.zeros((2, 5)))
 
+    def test_without_class_head(self):
+        m = small_model()
+        x = np.random.default_rng(4).normal(0, 1, (5, 6))
+        realness, _ = mdl.discriminate(m.discriminator, x)
+        taped = len(ad.active_graph())
+        alone, logits = mdl.discriminate(m.discriminator, x, classify=False)
+        assert logits is None
+        assert alone.data.tobytes() == realness.data.tobytes()
+        # The second call tapes everything but the class head's matmul and add.
+        assert len(ad.active_graph()) == 2 * taped - 2
+
 
 class TestFusion:
     def test_identical_nets_and_inputs_give_uniform_weights(self):
@@ -226,6 +237,15 @@ class TestLosses:
             ce = ad.cross_entropy_with_logits(logits, labels).item()
         assert loss == pytest.approx(ce, rel=1e-12)
 
+    def test_discriminator_loss_classifies_the_real_batch_only(self):
+        m = small_model()
+        rng = np.random.default_rng(13)
+        mdl.loss_discriminator(m.discriminator, rng.normal(0, 1, (4, 6)),
+                               rng.normal(0, 1, (4, 6)), rng.integers(0, 5, 4))
+        class_head = [node for node in ad.active_graph()
+                      if any(t is m.discriminator.w_cls for t in node.inputs)]
+        assert len(class_head) == 1
+
     def test_discriminator_training_decreases_loss(self):
         m = small_model(seed=14)
         rng = np.random.default_rng(14)
@@ -257,6 +277,21 @@ class TestLosses:
 
         leaves = list(m.generators["species"].named_params().values())
         assert_grads_match(loss_fn, leaves, rng, coords_per_leaf=6)
+
+
+    def test_generator_gradients_do_not_depend_on_wrt(self):
+        m = small_model(seed=16)
+        rng = np.random.default_rng(16)
+        t, z = batch_inputs(rng, n=5)
+        labels = rng.integers(0, 5, 5)
+        features, _, _ = m.generate_fused(t, z)
+        losses = [mdl.loss_generator(m.discriminator, features[level], labels,
+                                     rng.normal(0, 1, (5, 6))) for level in LEVELS]
+        loss = ad.add(ad.add(losses[0], losses[1]), losses[2])
+        gen = m.generator_params()
+        full = ad.backward(loss, wrt=gen + m.discriminator_params())
+        alone = ad.backward(loss, wrt=gen)
+        assert [g.tobytes() for g in alone] == [g.tobytes() for g in full[:len(gen)]]
 
 
 class TestFusionGan:

@@ -86,6 +86,13 @@ class TestConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError, match="fusion mode"):
             TrainConfig(fusion_mode="concat")
+        for alpha in (-0.2, 1.5):
+            with pytest.raises(ValueError, match="alpha"):
+                TrainConfig(alpha=alpha)
+
+    def test_alpha_range_ends_are_valid(self):
+        assert TrainConfig(alpha=0).alpha == 0.0
+        assert TrainConfig(alpha=1).alpha == 1.0
 
     def test_float_fields_take_ints(self):
         config = TrainConfig(kappa1=1, lam=2, disc_hidden=[12, 10])
