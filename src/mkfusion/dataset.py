@@ -3,6 +3,7 @@ visual centers, synthetic benchmark generation, and JSON persistence."""
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import os
@@ -349,17 +350,19 @@ def _require_field(mapping, name: str, kind=None):
 
 
 def encode_array(a: Array) -> dict:
-    """The JSON form of a float array: its shape and its values in C order."""
-    return {"shape": list(a.shape), "data": a.ravel().tolist()}
+    """The JSON form of a float array: its shape and the base64 of its
+    little-endian float64 bytes in C order."""
+    a = np.asarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f64": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
 def decode_array(entry, what: str, shape: tuple | None = None) -> Array:
-    """The float64 array stored by ``encode_array``; ``what`` names the entry
-    in errors. ``shape``, when given, is the expected shape, with ``None``
-    for an axis of any length."""
+    """The float64 array stored by ``encode_array``, as a new writable array;
+    ``what`` names the entry in errors. ``shape``, when given, is the expected
+    shape, with ``None`` for an axis of any length."""
     try:
         dims = _require_field(entry, "shape", list)
-        data = _require_field(entry, "data", list)
+        text = _require_field(entry, "f64", str)
     except ValueError as err:
         raise ValueError(f"{what}: {err}") from None
     if not all(_is_kind(n, int) and n >= 0 for n in dims):
@@ -368,15 +371,18 @@ def decode_array(entry, what: str, shape: tuple | None = None) -> Array:
     if shape is not None and (len(dims) != len(shape) or any(
             want is not None and n != want for n, want in zip(dims, shape))):
         raise ValueError(f"{what}: shape {tuple(dims)} does not match expected {shape}")
-    if len(data) != math.prod(dims):
-        raise ValueError(f"{what}: {len(data)} values do not fill shape {tuple(dims)}")
-    if not set(map(type, data)) <= {int, float}:
-        raise ValueError(f"{what}: data must be a flat list of numbers")
     try:
-        array = np.array(data, dtype=np.float64).reshape(dims)
-    except OverflowError:
-        raise ValueError(f"{what}: value out of float range") from None
-    if not np.all(np.isfinite(array)):
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:
+        raise ValueError(f"{what}: f64 is not base64: {err}") from None
+    size = 8 * math.prod(dims)
+    if len(raw) != size:
+        raise ValueError(f"{what}: {len(raw)} bytes do not fill shape {tuple(dims)} "
+                         f"of float64 ({size} bytes)")
+    # frombuffer gives a read-only view of ``raw``; astype copies it into an
+    # array of its own, which in-place updates (Adam on a resumed run) need.
+    array = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
+    if not np.isfinite(array).all():
         raise ValueError(f"{what}: non-finite value")
     return array
 
@@ -407,7 +413,7 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 
 def save_bundle(bundle: DatasetBundle, path: str) -> None:

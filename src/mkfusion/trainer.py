@@ -19,7 +19,7 @@ from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_text,
 
 Array = np.ndarray
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def fits(value, default) -> bool:
@@ -190,6 +190,10 @@ class _Session:
         if resume is not None:
             if resume.seen_species != sorted(bundle.seen_ids):
                 raise ValueError("checkpoint seen classes do not match the bundle")
+            if config.steps < resume.loop_index:
+                raise ValueError(f"steps {config.steps} is below the checkpoint's "
+                                 f"loop_index {resume.loop_index}: a resumed run "
+                                 f"cannot go back")
             for level, class_id in resume.pools.enhanced.entries:
                 if (level, class_id) not in self.groups:
                     raise ValueError(f"checkpoint pool enhanced/{level}/{class_id}: "

@@ -10,7 +10,7 @@ import pytest
 from mkfusion import evaluation as ev
 from mkfusion import trainer as tr
 from mkfusion.cli import build_parser, main
-from mkfusion.dataset import load_bundle
+from mkfusion.dataset import BUNDLE_VERSION, decode_array, encode_array, load_bundle
 
 
 def run(*argv):
@@ -284,9 +284,9 @@ BAD_FIELDS = [
     ("checkpoint", ("seen_species",), 5, "seen_species"),
     ("checkpoint", ("loop_index",), [1], "loop_index"),
     ("checkpoint", ("rng_state", "bit_generator"), "MT19937", "rng_state"),
-    ("checkpoint", ("pools", "enhanced/kingdom/0"), {"shape": [0, 5], "data": []},
+    ("checkpoint", ("pools", "enhanced/kingdom/0"), encode_array(np.zeros((0, 5))),
      "enhanced/kingdom/0"),
-    ("checkpoint", ("pools", "enhanced/species/07"), {"shape": [0, 5], "data": []},
+    ("checkpoint", ("pools", "enhanced/species/07"), encode_array(np.zeros((0, 5))),
      "enhanced/species/07"),
     ("bundle", ("dims",), 5, "dims"),
     ("bundle", ("dims", "visual"), 6.5, "visual"),
@@ -391,7 +391,7 @@ class TestBadInput:
     def test_resume_rejects_pool_class_missing_from_bundle(self, tmp_path, small_data,
                                                            trained, capsys):
         document = json.loads((trained / "checkpoint.json").read_text())
-        document["pools"]["enhanced/species/999"] = {"shape": [1, 5], "data": [0.5] * 5}
+        document["pools"]["enhanced/species/999"] = encode_array(np.full((1, 5), 0.5))
         checkpoint = tmp_path / "bad-checkpoint.json"
         checkpoint.write_text(json.dumps(document))
         capsys.readouterr()
@@ -400,6 +400,54 @@ class TestBadInput:
                    "--resume", checkpoint, "--steps", 3) == 1
         assert_one_error_line(capsys, "enhanced/species/999")
         assert not out.exists()
+
+    def test_resume_rejects_steps_below_checkpoint_loop(self, tmp_path, small_data,
+                                                         trained, capsys):
+        capsys.readouterr()
+        out = tmp_path / "resumed"
+        assert run("train", "--data", small_data, "--out", out,
+                   "--resume", trained / "checkpoint.json", "--steps", 1) == 1
+        assert_one_error_line(capsys, "steps 1", "loop_index 2")
+        assert not out.exists()
+
+    def test_old_file_versions_rejected(self, tmp_path, small_data, trained, capsys):
+        def as_float_lists(node):
+            """``node`` with every array in the float-list layout of older files."""
+            if isinstance(node, dict) and "f64" in node:
+                return {"shape": node["shape"],
+                        "data": decode_array(node, "array").ravel().tolist()}
+            if isinstance(node, dict):
+                return {key: as_float_lists(value) for key, value in node.items()}
+            if isinstance(node, list):
+                return [as_float_lists(value) for value in node]
+            return node
+
+        def old_copy(source, version):
+            document = as_float_lists(json.loads(source.read_text()))
+            document["format_version"] = version
+            path = tmp_path / f"v{version}-{source.name}"
+            path.write_text(json.dumps(document))
+            return path
+
+        checkpoint = old_copy(trained / "checkpoint.json", tr.CHECKPOINT_VERSION - 1)
+        bundle = old_copy(small_data, BUNDLE_VERSION - 1)
+        checkpoint_error = (f"checkpoint version mismatch: found "
+                            f"{tr.CHECKPOINT_VERSION - 1}, expected {tr.CHECKPOINT_VERSION}")
+        bundle_error = (f"dataset file version mismatch: found {BUNDLE_VERSION - 1}, "
+                        f"expected {BUNDLE_VERSION}")
+        for argv, message in (
+                (["eval", "--data", small_data, "--checkpoint", checkpoint],
+                 checkpoint_error),
+                (["retrieve", "--data", small_data, "--checkpoint", checkpoint,
+                  "--class", 0], checkpoint_error),
+                (["train", "--data", small_data, "--resume", checkpoint, "--steps", 3],
+                 checkpoint_error),
+                (["train", "--data", bundle], bundle_error)):
+            capsys.readouterr()
+            out = tmp_path / "out"
+            assert run(*argv, "--out", out) == 1
+            assert_one_error_line(capsys, message)
+            assert not out.exists()
 
     def test_resume_rejects_other_train_flags(self, tmp_path, small_data, trained,
                                               train_config, capsys):

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -18,6 +19,14 @@ from mkfusion.dataset import (
     save_bundle,
     LEVELS,
 )
+
+
+def f64(*values):
+    """The ``f64`` text of the float64 array ``values``."""
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode()
+
+
+F64_ONE = f64(1.0)
 
 
 def tiny_bundle():
@@ -206,7 +215,7 @@ class TestPersistence:
 
     def test_missing_nested_field_names_entry(self, tmp_path):
         path = tmp_path / "broken.json"
-        semantic = {"shape": [2], "data": [0.0, 0.0]}
+        semantic = encode_array(np.zeros(2))
         document = {"format_version": BUNDLE_VERSION,
                     "dims": {"visual": 2, "semantic": 2},
                     "classes": [{"species_id": 0, "genus_id": 0, "family_id": 0,
@@ -214,7 +223,7 @@ class TestPersistence:
                                 {"genus_id": 0, "family_id": 0,
                                  "name": "b", "semantic": semantic}],
                     "samples": {"species_id": [0],
-                                "visual": {"shape": [1, 2], "data": [1.0, 2.0]}},
+                                "visual": encode_array(np.array([[1.0, 2.0]]))},
                     "splits": {"seen": [0], "unseen": []}}
         path.write_text(json.dumps(document))
         with pytest.raises(ValueError, match=r"classes\[1\].*missing field: species_id"):
@@ -229,28 +238,41 @@ class TestPersistence:
             with pytest.raises(ValueError, match=message):
                 load_bundle(str(path))
 
-    @pytest.mark.parametrize("a", [np.arange(6.0).reshape(2, 3) / 7, np.zeros((0, 3)),
-                                   np.array(np.pi)], ids=["matrix", "empty", "scalar"])
+    @pytest.mark.parametrize("a", [
+        np.arange(6.0).reshape(2, 3) / 7, np.zeros((0, 3)), np.array(np.pi),
+        np.array([-0.0, 0.0]),
+        np.array([np.finfo(np.float64).smallest_subnormal, -5e-324,
+                  np.finfo(np.float64).tiny / 3]),
+        np.array([np.finfo(np.float64).max, -np.finfo(np.float64).max]),
+        (np.arange(12.0).reshape(3, 4) / 7).T,
+        (np.arange(6.0).reshape(2, 3) / 7).astype(">f8"),
+    ], ids=["matrix", "empty", "scalar", "signed-zero", "subnormal", "max",
+            "transposed", "big-endian"])
     def test_array_codec_roundtrip(self, a):
         entry = json.loads(json.dumps(encode_array(a)))
         decoded = decode_array(entry, "probe", shape=a.shape)
         assert decoded.dtype == np.float64 and decoded.shape == a.shape
-        assert decoded.tobytes() == a.tobytes()
+        assert decoded.tobytes() == np.ascontiguousarray(a, dtype=np.float64).tobytes()
+        assert decoded.flags.writeable and decoded.flags.owndata
 
     @pytest.mark.parametrize("entry,message", [
         ([1.0], "expected an object"),
-        ({"data": [1.0]}, "missing field: shape"),
-        ({"shape": [1]}, "missing field: data"),
-        ({"shape": [1.0], "data": [1.0]}, "non-negative integers"),
-        ({"shape": [True], "data": [1.0]}, "non-negative integers"),
-        ({"shape": [-1], "data": []}, "non-negative integers"),
-        ({"shape": [1, 1], "data": [1.0]}, "does not match expected"),
-        ({"shape": [2], "data": [1.0]}, "do not fill"),
-        ({"shape": [1], "data": [[1.0]]}, "flat list of numbers"),
-        ({"shape": [1], "data": ["1.0"]}, "flat list of numbers"),
-        ({"shape": [1], "data": [True]}, "flat list of numbers"),
-        ({"shape": [1], "data": [10 ** 400]}, "out of float range"),
-        ({"shape": [1], "data": [float("inf")]}, "non-finite"),
+        ({"f64": F64_ONE}, "missing field: shape"),
+        ({"shape": [1]}, "missing field: f64"),
+        ({"shape": [1.0], "f64": F64_ONE}, "non-negative integers"),
+        ({"shape": [True], "f64": F64_ONE}, "non-negative integers"),
+        ({"shape": [-1], "f64": ""}, "non-negative integers"),
+        ({"shape": [1, 1], "f64": F64_ONE}, "does not match expected"),
+        ({"shape": [2], "f64": F64_ONE}, "do not fill"),
+        ({"shape": [1], "f64": [1.0]}, "must be a string"),
+        ({"shape": [1], "f64": "not base64!"}, "not base64"),
+        ({"shape": [1], "f64": F64_ONE[:4] + "\n" + F64_ONE[4:]}, "not base64"),
+        ({"shape": [1], "f64": base64.b64encode(bytes(7)).decode()}, "do not fill"),
+        ({"shape": [1], "f64": f64(float("inf"))}, "non-finite"),
+        ({"shape": [1], "f64": f64(-float("inf"))}, "non-finite"),
+        ({"shape": [1], "f64": f64(float("nan"))}, "non-finite"),
+        ({"shape": [1], "f64": f64(1.0, 2.0)}, "do not fill"),
+        ({"shape": [1], "f64": "é" + F64_ONE[1:]}, "not base64"),
     ])
     def test_decode_array_rejects(self, entry, message):
         with pytest.raises(ValueError, match=f"^probe: .*{message}"):

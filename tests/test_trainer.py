@@ -1,3 +1,4 @@
+import base64
 import copy
 import functools
 import json
@@ -44,14 +45,16 @@ def saved_checkpoint(tmp_path):
 def corrupted(entry, how):
     """A copy of the encoded array ``entry`` damaged in the way ``how`` names."""
     entry = copy.deepcopy(entry)
-    if how == "drop data":
-        del entry["data"]
-    elif how == "truncate data":
-        entry["data"].pop()
-    elif how == "NaN":
-        entry["data"][0] = float("nan")
+    raw = base64.b64decode(entry["f64"])
+    if how == "drop f64":
+        del entry["f64"]
+    elif how == "truncate by 8 bytes":
+        entry["f64"] = base64.b64encode(raw[:-8]).decode()
+    elif how == "NaN bytes":
+        nan = np.array([np.nan], dtype="<f8").tobytes()
+        entry["f64"] = base64.b64encode(nan + raw[8:]).decode()
     else:
-        return entry["data"]
+        return np.frombuffer(raw, dtype="<f8").tolist()
     return entry
 
 
@@ -61,7 +64,7 @@ def assert_each_corruption_named(document, path, load, entries):
     for where, name in entries:
         parent = functools.reduce(operator.getitem, where[:-1], document)
         original = parent[where[-1]]
-        for how in ("drop data", "truncate data", "NaN", "list"):
+        for how in ("drop f64", "truncate by 8 bytes", "NaN bytes", "entry as list"):
             parent[where[-1]] = corrupted(original, how)
             path.write_text(json.dumps(document))
             with pytest.raises(ValueError, match=re.escape(name)):
@@ -220,6 +223,7 @@ class TestCheckpoint:
         restored = tr.restore_checkpoint(str(path))
         for name, p in result.model.named_params().items():
             np.testing.assert_array_equal(p.data, restored.model.named_params()[name].data)
+            assert restored.model.named_params()[name].data.flags.writeable
         assert restored.loop_index == 3
         assert restored.rng_state == result.state.rng_state
         assert list(restored.adam_states) == list(result.state.adam_states)
@@ -230,6 +234,7 @@ class TestCheckpoint:
                 assert len(stored[key]) == len(state[key])
                 for a, b in zip(state[key], stored[key]):
                     np.testing.assert_array_equal(a, b)
+                    assert b.flags.writeable
         assert list(restored.pools.enhanced.entries) == list(result.pools.enhanced.entries)
         assert restored.pools.enhanced.size == result.pools.enhanced.size
         assert restored.pools.novel.size == result.pools.novel.size
@@ -260,6 +265,24 @@ class TestCheckpoint:
             assert a.l_fm == b.l_fm
             assert a.enhanced_size == b.enhanced_size
             assert a.novel_size == b.novel_size
+
+    def test_saved_files_hold_no_float_lists(self, tmp_path):
+        def float_lists(node, where="$"):
+            if isinstance(node, dict):
+                return [hit for key, value in node.items()
+                        for hit in float_lists(value, f"{where}/{key}")]
+            if isinstance(node, list):
+                if any(isinstance(v, float) for v in node):
+                    return [where]
+                return [hit for i, v in enumerate(node)
+                        for hit in float_lists(v, f"{where}[{i}]")]
+            return []
+
+        _, document = saved_checkpoint(tmp_path)
+        assert float_lists(document) == []
+        path = tmp_path / "bundle.json"
+        save_bundle(small_bundle(), str(path))
+        assert float_lists(json.loads(path.read_text())) == []
 
     def test_corrupted_file_raises(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -310,7 +333,7 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "old.ckpt"
-        for version in (99, 1):
+        for version in (99, 1, 2):
             path.write_text(f'{{"format_version": {version}}}')
             with pytest.raises(ValueError, match=f"version mismatch: found {version},"):
                 tr.restore_checkpoint(str(path))
