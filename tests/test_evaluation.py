@@ -18,6 +18,57 @@ def fixed_prototypes(vectors: dict[int, list[float]]) -> ev.ClassPrototypes:
                                for k, v in vectors.items()}, n_syn=1)
 
 
+def brute_force_curve(prototypes, seen_x, seen_y, unseen_x, unseen_y, seen_ids,
+                      gammas=None):
+    """The sweep as first written: a full argmax over the score matrix per
+    gamma. Kept as the reference the linear-time sweep must match bit for bit."""
+    if len(seen_x) == 0 or len(unseen_x) == 0:
+        raise ValueError("both evaluation sets must be non-empty")
+    if gammas is None:
+        gammas = np.linspace(-ev.DEFAULT_GAMMA_SPAN, ev.DEFAULT_GAMMA_SPAN,
+                             ev.DEFAULT_GAMMA_POINTS)
+    gammas = np.asarray(sorted(float(g) for g in gammas))
+    ids = np.asarray(prototypes.class_ids)
+    seen_mask = np.isin(ids, np.asarray(sorted(seen_ids)))
+    scores_seen = ev.similarity_matrix(seen_x, prototypes)
+    scores_unseen = ev.similarity_matrix(unseen_x, prototypes)
+
+    def accuracies(gamma: float) -> tuple[float, float]:
+        shift = seen_mask * gamma
+        pred_s = ids[np.argmax(scores_seen - shift, axis=1)]
+        pred_u = ids[np.argmax(scores_unseen - shift, axis=1)]
+        return float((pred_s == seen_y).mean()), float((pred_u == unseen_y).mean())
+
+    points = [accuracies(g) for g in gammas]
+    gammas = list(gammas)
+    for _ in range(8):
+        if points[-1][0] == 0.0:
+            break
+        gammas.append(gammas[-1] * 2.0 if gammas[-1] > 0 else 2.0)
+        points.append(accuracies(gammas[-1]))
+    for _ in range(8):
+        if points[0][1] == 0.0:
+            break
+        gammas.insert(0, gammas[0] * 2.0 if gammas[0] < 0 else -2.0)
+        points.insert(0, accuracies(gammas[0]))
+    seen_acc = np.asarray([p[0] for p in points])
+    unseen_acc = np.asarray([p[1] for p in points])
+    return ev.SeenUnseenCurve(gammas=np.asarray(gammas), seen_accuracy=seen_acc,
+                              unseen_accuracy=unseen_acc)
+
+
+def assert_same_curve(got, expected):
+    for name in ("gammas", "seen_accuracy", "unseen_accuracy"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+@pytest.fixture
+def scores_as_features(monkeypatch):
+    """Make ``similarity_matrix`` return its feature argument, so a curve can
+    be swept over a chosen score matrix."""
+    monkeypatch.setattr(ev, "similarity_matrix", lambda x, prototypes: x)
+
+
 class TestPrototypes:
     def test_single_generation_prototype(self):
         model = tiny_model()
@@ -201,6 +252,86 @@ class TestCurveAndArea:
         with pytest.raises(ValueError, match="non-empty"):
             ev.seen_unseen_curve(prototypes, np.zeros((0, 3)), np.zeros(0),
                                  unseen_x, unseen_y, seen_ids=[0, 1])
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gammas": []}, "at least one offset"),
+        ({"gammas": [0.0, float("nan")]}, "gammas must be finite"),
+        ({"gammas": [0.0, float("inf")]}, "gammas must be finite"),
+        ({"seen_ids": [0, 1, 9]}, r"without a prototype: \[9\]"),
+        ({"seen_x": np.array([[np.nan, 0.0, 0.0]])}, "finite"),
+    ])
+    def test_bad_curve_inputs_rejected(self, kwargs, message):
+        prototypes, seen_x, seen_y, unseen_x, unseen_y = self.toy_setup()
+        args = {"seen_x": seen_x, "seen_y": seen_y, "unseen_x": unseen_x,
+                "unseen_y": unseen_y, "seen_ids": [0, 1], **kwargs}
+        with pytest.raises(ValueError, match=message):
+            ev.seen_unseen_curve(prototypes, **args)
+
+
+class TestLinearTimeCurve:
+    """The O(n) per-gamma sweep against the brute-force oracle."""
+
+    def test_matches_bruteforce_on_quantized_scores(self, scores_as_features):
+        rng = np.random.default_rng(11)
+        tie_kinds = set()
+        for _ in range(200):
+            k = int(rng.integers(2, 9))
+            seen_ids = sorted(rng.choice(k, int(rng.integers(1, k + 1)), replace=False))
+            mask = np.isin(np.arange(k), seen_ids)
+            prototypes = fixed_prototypes({c: [1.0] for c in range(k)})
+            # Multiples of 1/8, with gammas on the same grid, so that equal
+            # scores and seen scores shifted onto unseen ones occur often.
+            seen_x, unseen_x = (rng.integers(-8, 9, (int(rng.integers(1, 13)), k)) / 8.0
+                                for _ in range(2))
+            seen_y = rng.choice(seen_ids, len(seen_x))
+            unseen_y = rng.integers(0, k, len(unseen_x))
+            gammas = rng.integers(-24, 25, int(rng.integers(1, 12))) / 8.0
+            assert_same_curve(
+                ev.seen_unseen_curve(prototypes, seen_x, seen_y, unseen_x, unseen_y,
+                                     seen_ids, gammas),
+                brute_force_curve(prototypes, seen_x, seen_y, unseen_x, unseen_y,
+                                  seen_ids, gammas))
+            for scores in (seen_x, unseen_x):
+                argmax = ev.calibrated_argmax(scores, mask)
+                for gamma in gammas:
+                    shifted = scores - mask * gamma
+                    np.testing.assert_array_equal(argmax(gamma),
+                                                  np.argmax(shifted, axis=1))
+                    winners = shifted == shifted.max(axis=1, keepdims=True)
+                    n_seen, n_unseen = winners[:, mask].sum(1), winners[:, ~mask].sum(1)
+                    tie_kinds.update(
+                        kind for kind, tied in (("seen", n_seen > 1),
+                                                ("unseen", n_unseen > 1),
+                                                ("mixed", (n_seen > 0) & (n_unseen > 0)))
+                        if tied.any())
+        assert tie_kinds == {"seen", "unseen", "mixed"}
+
+    def test_matches_bruteforce_on_cosine_scores(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            prototypes = fixed_prototypes({c: rng.normal(0, 1, 5).tolist()
+                                           for c in range(10)})
+            seen_x, unseen_x = rng.normal(0, 1, (40, 5)), rng.normal(0, 1, (30, 5))
+            seen_y, unseen_y = rng.integers(0, 6, 40), rng.integers(6, 10, 30)
+            assert_same_curve(
+                ev.seen_unseen_curve(prototypes, seen_x, seen_y, unseen_x, unseen_y,
+                                     list(range(6))),
+                brute_force_curve(prototypes, seen_x, seen_y, unseen_x, unseen_y,
+                                  list(range(6))))
+
+    def test_rounding_merge_breaks_toward_lower_column(self, scores_as_features):
+        # 0.5 + 512 and 0.5 + 2**-45 + 512 both round to 512.5, so argmax of
+        # the shifted row picks column 0 although column 1 holds the best score.
+        prototypes = fixed_prototypes({0: [1.0], 1: [1.0], 2: [1.0]})
+        seen_x = np.array([[0.5, 0.5 + 2.0**-45, 0.25]])
+        unseen_x = np.array([[0.0, 0.0, 0.25]])
+        mask = np.array([True, True, False])
+        assert ev.calibrated_argmax(seen_x, mask)(-512.0).tolist() == [0]
+        args = (prototypes, seen_x, np.array([0]), unseen_x, np.array([2]), [0, 1],
+                [-512.0])
+        curve = ev.seen_unseen_curve(*args)
+        assert curve.seen_accuracy[list(curve.gammas).index(-512.0)] == 1.0
+        assert_same_curve(curve, brute_force_curve(*args))
 
 
 class TestRetrieval:
