@@ -171,17 +171,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     state = tr.restore_checkpoint(args.checkpoint)
     bundle = _load_bundle_for_checkpoint(args.data, state)
     os.makedirs(args.out, exist_ok=True)
-    fusion_mode = state.config.fusion_mode
     seed = state.config.seed
     outputs = {}
     if mode == "zsl":
-        top1, per_class, _ = ev.evaluate_zsl(state.model, bundle, n_syn=n_syn,
-                                             seed=seed, fusion_mode=fusion_mode)
+        top1, per_class, _ = ev.evaluate_zsl(state.model, bundle, n_syn=n_syn, seed=seed)
         text = f"top1_unseen={top1!r}\n"
         csv = f"top1_unseen\n{top1!r}\n"
     else:
-        metrics, curve = ev.evaluate_gzsl(state.model, bundle, n_syn=n_syn,
-                                          seed=seed, fusion_mode=fusion_mode)
+        metrics, curve = ev.evaluate_gzsl(state.model, bundle, n_syn=n_syn, seed=seed)
         per_class = metrics.per_class_correct
         text, csv = metrics.to_text(), metrics.to_csv()
         curve_path = os.path.join(args.out, "curve.csv")
@@ -214,7 +211,7 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown class id: {class_id}")
     prototypes = ev.synthesize_prototypes(
         state.model, {class_id: bundle.semantic_for(class_id)}, n_syn=n_syn,
-        seed=state.config.seed, fusion_mode=state.config.fusion_mode)
+        seed=state.config.seed)
     hits = ev.retrieve_topk(prototypes, bundle.sample_visuals, class_id, k=k)
     lines = ["rank,sample_id,similarity"]
     for rank, (sample_id, similarity) in enumerate(hits, start=1):

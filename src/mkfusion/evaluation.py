@@ -93,9 +93,15 @@ class Metrics:
 
 def synthesize_prototypes(model: FusionGan, semantics: dict[int, Array],
                           n_syn: int = DEFAULT_N_SYN, seed: int = 0,
-                          fusion_mode: str = "adaptive") -> ClassPrototypes:
+                          fusion_mode: str | None = None) -> ClassPrototypes:
     """Average n_syn fused generations per class, with a per-class noise
-    stream so enlarging n_syn reuses the shorter stream as a prefix."""
+    stream so enlarging n_syn reuses the shorter stream as a prefix.
+
+    The model fuses in its own mode; a ``fusion_mode`` given here is only
+    checked against it."""
+    if fusion_mode is not None and fusion_mode != model.fusion_mode:
+        raise ValueError(f"fusion mode {fusion_mode!r} does not match the model's "
+                         f"{model.fusion_mode!r}")
     if n_syn < 1:
         raise ValueError("n_syn must be at least 1")
     prototypes = {}
@@ -104,7 +110,7 @@ def synthesize_prototypes(model: FusionGan, semantics: dict[int, Array],
         z = rng.standard_normal((n_syn, model.noise_dim))
         t = np.tile(np.asarray(semantics[class_id], dtype=np.float64), (n_syn, 1))
         with ad.no_grad():
-            _, fused, _ = model.generate_fused(t, z, fusion_mode=fusion_mode)
+            _, fused, _ = model.generate_fused(t, z)
         prototypes[int(class_id)] = fused.data.mean(axis=0)
     return ClassPrototypes(prototypes=prototypes, n_syn=n_syn)
 
@@ -274,23 +280,23 @@ def _unseen_top1(prototypes: ClassPrototypes, bundle: DatasetBundle
 
 
 def evaluate_zsl(model: FusionGan, bundle: DatasetBundle, n_syn: int = DEFAULT_N_SYN,
-                 seed: int = 0, fusion_mode: str = "adaptive"
-                 ) -> tuple[float, dict[int, int], ClassPrototypes]:
+                 seed: int = 0) -> tuple[float, dict[int, int], ClassPrototypes]:
     """Unseen-only protocol: classify unseen samples among unseen classes."""
     semantics = {c: bundle.semantic_for(c) for c in bundle.unseen_ids}
-    prototypes = synthesize_prototypes(model, semantics, n_syn, seed, fusion_mode)
+    prototypes = synthesize_prototypes(model, semantics, n_syn, seed)
     top1, per_class = _unseen_top1(prototypes, bundle)
     return top1, per_class, prototypes
 
 
 def evaluate_gzsl(model: FusionGan, bundle: DatasetBundle, n_syn: int = DEFAULT_N_SYN,
-                  seed: int = 0, fusion_mode: str = "adaptive",
+                  seed: int = 0, fusion_mode: str | None = None,
                   top_k: int = DEFAULT_TOP_K) -> tuple[Metrics, SeenUnseenCurve]:
     """Joint protocol over all classes, reporting uncalibrated accuracies,
     the best-offset harmonic mean, curve area, and retrieval precision.
 
     ``top1_unseen`` reuses the unseen prototypes: each class draws its own
-    noise stream, so they equal what ``evaluate_zsl`` synthesizes."""
+    noise stream, so they equal what ``evaluate_zsl`` synthesizes.
+    ``fusion_mode`` is checked as in ``synthesize_prototypes``."""
     semantics = {c.species_id: c.semantic for c in bundle.classes}
     prototypes = synthesize_prototypes(model, semantics, n_syn, seed, fusion_mode)
     seen_x, seen_y = bundle.seen_visuals(), bundle.seen_sample_species()

@@ -169,14 +169,14 @@ def cosine_rows(a: Array, b: Array) -> Array:
 
 
 def stability_scores(offspring: Array, model: FusionGan, center_rows: Array,
-                     rng: np.random.Generator, fusion_mode: str = "adaptive") -> Array:
+                     rng: np.random.Generator) -> Array:
     """Cosine between each offspring's fused generation (fresh noise) and its
     class center row. Values lie in [-1, 1]."""
     offspring = np.atleast_2d(np.asarray(offspring, dtype=np.float64))
     center_rows = np.atleast_2d(np.asarray(center_rows, dtype=np.float64))
     z = rng.standard_normal((offspring.shape[0], model.noise_dim))
     with ad.no_grad():
-        _, fused, _ = model.generate_fused(offspring, z, fusion_mode=fusion_mode)
+        _, fused, _ = model.generate_fused(offspring, z)
     return cosine_rows(fused.data, center_rows)
 
 
@@ -198,17 +198,16 @@ def select(t_new: Array, d: float, kappa1: float, kappa2: float, pools: Pools,
 # Pool losses
 # ---------------------------------------------------------------------------
 
-def enhanced_terms(model: FusionGan, t_batch: Array, labels: Array, z: Array,
-                   fusion_mode: str = "adaptive") -> Tensor:
+def enhanced_terms(model: FusionGan, t_batch: Array, labels: Array, z: Array) -> Tensor:
     """Critic and classification terms on fused generations of enhanced rows."""
-    _, fused, _ = model.generate_fused(t_batch, z, fusion_mode=fusion_mode)
+    _, fused, _ = model.generate_fused(t_batch, z)
     return adversarial_and_classification(model.discriminator, fused, labels)
 
 
 def loss_er(model: FusionGan, pools: Pools,
             species_under: dict[tuple[str, int], list[int]],
             label_index: dict[int, int], rng: np.random.Generator,
-            batch_size: int, fusion_mode: str = "adaptive") -> Tensor:
+            batch_size: int) -> Tensor:
     """Enhanced-pool loss over a sampled minibatch; zero when the pool is empty.
 
     Entries at genus or family level get a species label drawn uniformly from
@@ -227,11 +226,11 @@ def loss_er(model: FusionGan, pools: Pools,
         labels.append(label_index[species])
     t_batch = np.stack(rows)
     z = rng.standard_normal((len(rows), model.noise_dim))
-    return enhanced_terms(model, t_batch, np.asarray(labels), z, fusion_mode)
+    return enhanced_terms(model, t_batch, np.asarray(labels), z)
 
 
 def loss_nr(model: FusionGan, pools: Pools, lam: float, rng: np.random.Generator,
-            batch_size: int, fusion_mode: str = "adaptive") -> Tensor:
+            batch_size: int) -> Tensor:
     """Novel-pool loss over a sampled minibatch; zero when the pool is empty."""
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
@@ -241,14 +240,13 @@ def loss_nr(model: FusionGan, pools: Pools, lam: float, rng: np.random.Generator
                        replace=False)
     t_batch = np.stack([pools.novel.vectors[int(i)] for i in picks])
     z = rng.standard_normal((len(picks), model.noise_dim))
-    return novel_terms(model, t_batch, z, lam, fusion_mode)
+    return novel_terms(model, t_batch, z, lam)
 
 
-def novel_terms(model: FusionGan, t_batch: Array, z: Array, lam: float,
-                fusion_mode: str = "adaptive") -> Tensor:
+def novel_terms(model: FusionGan, t_batch: Array, z: Array, lam: float) -> Tensor:
     """Push fused generations of novel rows toward critic-fake and a uniform
     class posterior: +mean(realness) + lam * mean ||softmax - uniform||^2."""
-    _, fused, _ = model.generate_fused(t_batch, z, fusion_mode=fusion_mode)
+    _, fused, _ = model.generate_fused(t_batch, z)
     realness, logits = discriminate(model.discriminator, fused)
     term_real = ad.reduce_mean(realness)
     n, k = logits.shape
@@ -261,11 +259,10 @@ def novel_terms(model: FusionGan, t_batch: Array, z: Array, lam: float,
 def loss_fusion(model: FusionGan, fused: Tensor, labels: Array, pools: Pools,
                 species_under: dict[tuple[str, int], list[int]],
                 label_index: dict[int, int], lam: float,
-                rng: np.random.Generator, batch_size: int,
-                fusion_mode: str = "adaptive") -> tuple[Tensor, float, float]:
+                rng: np.random.Generator, batch_size: int) -> tuple[Tensor, float, float]:
     """Fusion-module loss: critic + classification terms on the fused batch
     plus the two pool losses. Returns (total, er value, nr value)."""
     base = adversarial_and_classification(model.discriminator, fused, labels)
-    er = loss_er(model, pools, species_under, label_index, rng, batch_size, fusion_mode)
-    nr = loss_nr(model, pools, lam, rng, batch_size, fusion_mode)
+    er = loss_er(model, pools, species_under, label_index, rng, batch_size)
+    nr = loss_nr(model, pools, lam, rng, batch_size)
     return ad.add(ad.add(base, er), nr), er.item(), nr.item()

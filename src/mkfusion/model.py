@@ -11,6 +11,10 @@ from .dataset import LEVELS
 
 Array = np.ndarray
 
+# How ``FusionGan.generate_fused`` combines the three level features: the
+# trained fusion network, or the plain one-third average (the ablation).
+FUSION_MODES = ("adaptive", "summing")
+
 
 def _init_param(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> Tensor:
     bound = 1.0 / np.sqrt(fan_in)
@@ -170,18 +174,16 @@ class FusionGan:
     def __init__(self, visual_dim: int, semantic_dim: int, n_classes: int,
                  noise_dim: int = 32, gen_hidden: int = 256,
                  disc_hidden: tuple[int, int] = (256, 128), fusion_hidden: int = 64,
-                 alpha: float = 0.2, seed: int = 0):
+                 alpha: float = 0.2, seed: int = 0, fusion_mode: str = "adaptive"):
         if n_classes < 1:
             raise ValueError("model needs at least one seen class")
+        if fusion_mode not in FUSION_MODES:
+            raise ValueError(f"unknown fusion mode: {fusion_mode!r}")
         self.visual_dim = visual_dim
         self.semantic_dim = semantic_dim
         self.n_classes = n_classes
         self.noise_dim = noise_dim
-        self.gen_hidden = gen_hidden
-        self.disc_hidden = tuple(disc_hidden)
-        self.fusion_hidden = fusion_hidden
-        self.alpha = alpha
-        self.seed = seed
+        self.fusion_mode = fusion_mode
         rng = np.random.default_rng(seed)
         self.generators = {
             level: GeneratorNet(level, semantic_dim, noise_dim, visual_dim,
@@ -210,16 +212,14 @@ class FusionGan:
     def fusion_params(self) -> list[Tensor]:
         return list(self.fusion.named_params().values())
 
-    def generate_fused(self, t: Array, z: Array, fusion_mode: str = "adaptive"
+    def generate_fused(self, t: Array, z: Array
                        ) -> tuple[dict[str, Tensor], Tensor, dict[str, Tensor] | None]:
-        """Generate per-level features from shared (t, z) and fuse them."""
+        """Generate per-level features from shared (t, z) and fuse them in the
+        model's fusion mode; the summing mode has no weights."""
         features = {level: generate(self.generators[level], t, z) for level in LEVELS}
-        if fusion_mode == "adaptive":
-            fused, weights = fuse(self.fusion, features)
-        elif fusion_mode == "summing":
-            fused, weights = fuse_baseline(features), None
-        else:
-            raise ValueError(f"unknown fusion mode: {fusion_mode!r}")
+        if self.fusion_mode == "summing":
+            return features, fuse_baseline(features), None
+        fused, weights = fuse(self.fusion, features)
         return features, fused, weights
 
 

@@ -76,11 +76,16 @@ class TrainConfig:
             raise ValueError("noise dimension must be at least 1")
         if self.offspring_budget < 0:
             raise ValueError("offspring budget must be non-negative")
-        if self.fusion_mode not in ("adaptive", "summing"):
+        if self.fusion_mode not in mdl.FUSION_MODES:
             raise ValueError(f"unknown fusion mode: {self.fusion_mode!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         self.disc_hidden = tuple(self.disc_hidden)
+        for name in ("gen_hidden", "disc_hidden", "fusion_hidden"):
+            value = getattr(self, name)
+            if min(np.atleast_1d(value)) < 1:
+                raise ValueError(f"layer widths in {name} must be at least 1, "
+                                 f"got {value!r}")
 
 
 @dataclass
@@ -135,7 +140,8 @@ def build_model(config: TrainConfig, visual_dim: int, semantic_dim: int,
                          disc_hidden=config.disc_hidden,
                          fusion_hidden=config.fusion_hidden,
                          alpha=config.alpha,
-                         seed=config.seed)
+                         seed=config.seed,
+                         fusion_mode=config.fusion_mode)
 
 
 def adam_groups(model: mdl.FusionGan) -> dict[str, list[ad.Tensor]]:
@@ -233,7 +239,7 @@ class _Session:
             center_rows.extend([center, center])
             origins.extend([(level, class_id)] * 2)
         scores = gn.stability_scores(np.stack(offspring), self.model,
-                                     np.stack(center_rows), rng, config.fusion_mode)
+                                     np.stack(center_rows), rng)
         for vector, d, (level, class_id) in zip(offspring, scores, origins):
             gn.select(vector, float(d), config.kappa1, config.kappa2,
                       self.pools, level, class_id)
@@ -248,7 +254,7 @@ class _Session:
         config = self.config
         idx, t_batch, z = self.sample_batch()
         with ad.no_grad():
-            _, fused, _ = self.model.generate_fused(t_batch, z, config.fusion_mode)
+            _, fused, _ = self.model.generate_fused(t_batch, z)
         loss = mdl.loss_discriminator(self.model.discriminator, self.visuals[idx],
                                       fused.data, self.dense_labels[idx])
         self.opt_d.step(ad.backward(loss, wrt=self.opt_d.params))
@@ -261,7 +267,7 @@ class _Session:
         config = self.config
         idx, t_batch, z = self.sample_batch()
         batch_labels = self.dense_labels[idx]
-        features, fused, _ = self.model.generate_fused(t_batch, z, config.fusion_mode)
+        features, fused, _ = self.model.generate_fused(t_batch, z)
         gen_losses = {}
         for level in LEVELS:
             rows = self.centers[level].rows_for(self.level_labels[level][idx])
@@ -271,14 +277,13 @@ class _Session:
                            gen_losses[LEVELS[2]])
         loss_fm, er_value, nr_value = gn.loss_fusion(
             self.model, fused, batch_labels, self.pools, self.groups,
-            self.label_index, config.lam, self.rng, config.batch_size,
-            config.fusion_mode)
+            self.label_index, config.lam, self.rng, config.batch_size)
         values = {"l_g_species": gen_losses["species"].item(),
                   "l_g_genus": gen_losses["genus"].item(),
                   "l_g_family": gen_losses["family"].item(),
                   "l_fm": loss_fm.item(), "l_er": er_value, "l_nr": nr_value}
         gen_grads = ad.backward(total_gen, wrt=self.opt_g.params)
-        if config.fusion_mode == "adaptive":
+        if self.model.fusion_mode == "adaptive":
             self.opt_f.step(ad.backward(loss_fm, wrt=self.opt_f.params))
         self.opt_g.step(gen_grads)
         ad.clear_graph()

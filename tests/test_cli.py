@@ -256,7 +256,8 @@ def assert_rejected(tmp_path, capsys, command, inputs, name, config=None, flags=
 
 # Wrong values in a config file, flag or MKFUSION_SEED, each with the name
 # the error line must give: (command, config, flags, MKFUSION_SEED, name).
-# Wrong-type train values are in test_train_config_value_types_checked.
+# Wrong-type and too-small train values are in
+# test_train_config_value_types_checked.
 BAD_VALUES = [
     ("gen-data", {"families": 2.9, "samples": "3"}, [], None, "families"),
     ("gen-data", {"sigma_family": True}, [], None, "sigma_family"),
@@ -305,6 +306,8 @@ OUT_OF_RANGE_FIELDS = [
     (("dims", "visual"), -6, "dims/visual"),
     (("dims", "semantic"), 0, "dims/semantic"),
     (("dims", "n_classes"), 0, "dims/n_classes"),
+    (("config", "gen_hidden"), 0,
+     "bad-checkpoint.json config: layer widths in gen_hidden"),
 ]
 
 
@@ -357,7 +360,10 @@ class TestBadInput:
         ({"kappa1": "0.9"}, "kappa1"), ({"alpha": False}, "alpha"),
         ({"fusion_mode": 1}, "fusion_mode"),
         ({"disc_hidden": [10]}, "disc_hidden"),
-        ({"disc_hidden": [10, "8"]}, "disc_hidden")])
+        ({"disc_hidden": [10, "8"]}, "disc_hidden"),
+        ({"gen_hidden": 0}, "gen_hidden"), ({"gen_hidden": -2}, "gen_hidden"),
+        ({"fusion_hidden": 0}, "fusion_hidden"),
+        ({"disc_hidden": [0, 5]}, "disc_hidden")])
     def test_train_config_value_types_checked(self, tmp_path, small_data, capsys,
                                               config, name):
         assert_rejected(tmp_path, capsys, "train", ["--data", small_data], name,

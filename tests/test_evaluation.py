@@ -106,6 +106,13 @@ class TestPrototypes:
         with pytest.raises(ValueError, match="n_syn"):
             ev.synthesize_prototypes(tiny_model(), {0: np.ones(4)}, n_syn=0)
 
+    def test_fusion_mode_must_match_the_model(self):
+        with pytest.raises(ValueError, match="'summing'.*'adaptive'"):
+            ev.synthesize_prototypes(tiny_model(), {0: np.ones(4)}, fusion_mode="summing")
+        prototypes = ev.synthesize_prototypes(tiny_model(), {0: np.ones(4)}, seed=1,
+                                              fusion_mode="adaptive")
+        assert prototypes.prototypes[0].shape == (6,)
+
 
 class TestClassify:
     def test_exact_prototype_match(self):
@@ -394,6 +401,20 @@ class TestDrivers:
         assert csv.startswith("gamma,S,U\n")
         svg = curve.to_svg()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_summing_model_fuses_in_its_own_mode(self):
+        bundle = generate_synthetic(SyntheticSpec(samples_per_species=4, visual_dim=8,
+                                                  semantic_dim=6), seed=2)
+        config = tr.TrainConfig(steps=2, n_nfg=1, batch_size=8, noise_dim=4,
+                                gen_hidden=12, disc_hidden=(12, 10), fusion_hidden=6,
+                                offspring_budget=4, seed=2, fusion_mode="summing")
+        model = tr.train(config, bundle).model
+        implied, _ = ev.evaluate_gzsl(model, bundle, n_syn=5, seed=2)
+        checked, _ = ev.evaluate_gzsl(model, bundle, n_syn=5, seed=2,
+                                      fusion_mode="summing")
+        assert implied.to_csv() == checked.to_csv()
+        with pytest.raises(ValueError, match="'adaptive'.*'summing'"):
+            ev.evaluate_gzsl(model, bundle, n_syn=5, seed=2, fusion_mode="adaptive")
 
     def test_gzsl_unseen_top1_matches_zsl(self):
         bundle = generate_synthetic(SyntheticSpec(samples_per_species=4, visual_dim=6,

@@ -15,10 +15,10 @@ def fresh_graph():
     ad.clear_graph()
 
 
-def small_model(seed=0, n_classes=5):
+def small_model(seed=0, n_classes=5, fusion_mode="adaptive"):
     return mdl.FusionGan(visual_dim=6, semantic_dim=4, n_classes=n_classes,
                          noise_dim=3, gen_hidden=8, disc_hidden=(8, 7),
-                         fusion_hidden=5, seed=seed)
+                         fusion_hidden=5, seed=seed, fusion_mode=fusion_mode)
 
 
 def batch_inputs(rng, n=4, t_dim=4, z_dim=3):
@@ -305,18 +305,24 @@ class TestFusionGan:
         assert len(m.discriminator.critic_params()) == 6
 
     def test_generate_fused_modes(self):
-        m = small_model(seed=16)
+        adaptive = small_model(seed=16)
+        summing = small_model(seed=16, fusion_mode="summing")
         rng = np.random.default_rng(16)
         t, z = batch_inputs(rng)
-        features, fused, weights = m.generate_fused(t, z, fusion_mode="adaptive")
+        features, fused, weights = adaptive.generate_fused(t, z)
         assert weights is not None
         assert fused.shape == (4, 6)
-        _, fused_sum, no_weights = m.generate_fused(t, z, fusion_mode="summing")
+        summed_features, fused_sum, no_weights = summing.generate_fused(t, z)
         assert no_weights is None
+        for level in LEVELS:
+            np.testing.assert_array_equal(summed_features[level].data,
+                                          features[level].data)
         stacked = sum(features[level].data for level in LEVELS) / 3.0
         np.testing.assert_allclose(fused_sum.data, stacked, atol=1e-12)
+
+    def test_unknown_fusion_mode_rejected(self):
         with pytest.raises(ValueError, match="fusion mode"):
-            m.generate_fused(t, z, fusion_mode="max")
+            small_model(fusion_mode="max")
 
     def test_same_seed_same_init(self):
         a = small_model(seed=21).named_params()

@@ -92,6 +92,11 @@ class TestConfig:
         for alpha in (-0.2, 1.5):
             with pytest.raises(ValueError, match="alpha"):
                 TrainConfig(alpha=alpha)
+        for name, width in (("gen_hidden", 0), ("fusion_hidden", 0),
+                            ("gen_hidden", -3), ("disc_hidden", [0, 5]),
+                            ("disc_hidden", (5, -1))):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: width})
 
     def test_alpha_range_ends_are_valid(self):
         assert TrainConfig(alpha=0).alpha == 0.0
