@@ -13,7 +13,7 @@ import sys
 from . import __version__
 from . import evaluation as ev
 from . import trainer as tr
-from .dataset import (DatasetBundle, SyntheticSpec, atomic_write_text,
+from .dataset import (DatasetBundle, SyntheticSpec, atomic_write_text, fits,
                       generate_synthetic, load_bundle, read_json_object,
                       save_bundle)
 
@@ -69,7 +69,7 @@ def _settings(args: argparse.Namespace) -> dict:
             value = flag
         elif key in config:
             value = config[key]
-            if not tr.fits(value, default):
+            if not fits(value, default):
                 raise ValueError(f"config file {args.config}: {key!r} must be "
                                  f"{type(default).__name__}, got {value!r}")
         elif name == "seed" and os.environ.get(SEED_ENV_VAR):
@@ -81,7 +81,7 @@ def _settings(args: argparse.Namespace) -> dict:
         else:
             value = default
         if name == "seed" and value < 0:
-            raise ValueError("seed must be non-negative")
+            raise ValueError(f"seed must be >= 0, got {value}")
         values[name] = float(value) if isinstance(default, float) else value
     return values
 

@@ -6,9 +6,10 @@ from __future__ import annotations
 import base64
 import json
 import math
+import operator
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -16,6 +17,41 @@ import numpy as np
 LEVELS = ("species", "genus", "family")
 
 Array = np.ndarray
+
+# Bound keys a field's metadata may hold, each with its test and symbol;
+# ``check_fields`` applies them.
+_BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
+           "le": (operator.le, "<="), "lt": (operator.lt, "<")}
+
+
+def fits(value, default) -> bool:
+    """Whether ``value`` may stand for a setting whose default is ``default``:
+    the default's type, an int for a float, a list of fitting items for a
+    tuple; a bool never fits."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, tuple):
+        return (isinstance(value, (tuple, list)) and len(value) == len(default)
+                and all(fits(v, d) for v, d in zip(value, default)))
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def check_fields(obj) -> None:
+    """Check every field of the dataclass ``obj``: its value must ``fit`` the
+    default and meet the field's bounds, entry by entry for a tuple. An int
+    given for a float is stored as a float, a list for a tuple as a tuple."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not fits(value, f.default):
+            raise ValueError(f"field {f.name!r} must be {f.type}, got {value!r}")
+        if isinstance(f.default, (float, tuple)):
+            value = type(f.default)(value)
+            setattr(obj, f.name, value)
+        entries = value if isinstance(value, tuple) else (value,)
+        for key, bound in f.metadata.items():
+            test, symbol = _BOUNDS[key]
+            if not all(test(v, bound) for v in entries):
+                raise ValueError(f"{f.name} must be {symbol} {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +107,14 @@ class DatasetBundle:
         known = {c.species_id for c in self.classes}
         if len(known) != len(self.classes):
             raise ValueError("duplicate species id in class records")
+        for split, ids in (("seen", self.seen_ids), ("unseen", self.unseen_ids)):
+            if set(ids) - known:
+                raise ValueError(f"{split} split: species {sorted(set(ids) - known)} "
+                                 f"have no class record")
+            repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+            if repeated:
+                raise ValueError(f"{split} split: species {repeated} are listed "
+                                 f"more than once")
         split_union = set(self.seen_ids) | set(self.unseen_ids)
         for sid in self.sample_species:
             if int(sid) not in known:
@@ -228,30 +272,25 @@ class SyntheticSpec:
     visuals and a semantic-to-visual regressor is learnable.
     """
 
-    families: int = 3
-    genera_per_family: int = 3
-    species_per_genus: int = 4
-    samples_per_species: int = 20
-    visual_dim: int = 32
-    semantic_dim: int = 16
-    unseen_fraction: float = 0.17
-    sigma_family: float = 1.0
-    sigma_genus: float = 0.5
-    sigma_species: float = 0.25
-    noise_std: float = 0.08
-    semantic_noise_std: float = 0.05
+    families: int = field(default=3, metadata={"ge": 1})
+    genera_per_family: int = field(default=3, metadata={"ge": 1})
+    species_per_genus: int = field(default=4, metadata={"ge": 1})
+    samples_per_species: int = field(default=20, metadata={"ge": 1})
+    visual_dim: int = field(default=32, metadata={"ge": 1})
+    semantic_dim: int = field(default=16, metadata={"ge": 1})
+    unseen_fraction: float = field(default=0.17, metadata={"gt": 0, "lt": 1})
+    sigma_family: float = field(default=1.0, metadata={"gt": 0})
+    sigma_genus: float = field(default=0.5, metadata={"gt": 0})
+    sigma_species: float = field(default=0.25, metadata={"gt": 0})
+    noise_std: float = field(default=0.08, metadata={"gt": 0})
+    semantic_noise_std: float = field(default=0.05, metadata={"ge": 0})
 
     def __post_init__(self):
-        counts = (self.families, self.genera_per_family, self.species_per_genus,
-                  self.samples_per_species, self.visual_dim, self.semantic_dim)
-        if min(counts) < 1:
-            raise ValueError("all counts and dimensions must be at least 1")
-        if not 0.0 < self.unseen_fraction < 1.0:
-            raise ValueError("unseen fraction must lie strictly between 0 and 1")
-        if not self.sigma_family > self.sigma_genus > self.sigma_species > 0.0:
-            raise ValueError("cluster scales must decrease from family to species")
-        if self.noise_std <= 0.0 or self.semantic_noise_std < 0.0:
-            raise ValueError("noise scales must be positive")
+        check_fields(self)
+        sigmas = (self.sigma_family, self.sigma_genus, self.sigma_species)
+        if not sigmas[0] > sigmas[1] > sigmas[2]:
+            raise ValueError("cluster scales must decrease: sigma_family > sigma_genus > "
+                             f"sigma_species, got {sigmas}")
 
     @property
     def n_species(self) -> int:

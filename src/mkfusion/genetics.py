@@ -61,12 +61,9 @@ def mutate(t_a: Array, rng: np.random.Generator, draw: GeneticDraw) -> Array:
     """Shrink nonzero entries (multiply by fresh r in [0, 1)) or fill zero
     entries (add fresh r) at the drawn positions; all others stay put."""
     out = np.array(t_a, dtype=np.float64)
-    for position in draw.loc1:
-        r = float(rng.uniform())
-        if out[position] != 0.0:
-            out[position] *= r
-        else:
-            out[position] += r
+    r = rng.uniform(size=len(draw.loc1))
+    picked = out[draw.loc1]
+    out[draw.loc1] = np.where(picked != 0.0, picked * r, picked + r)
     return out
 
 

@@ -14,78 +14,39 @@ from . import autodiff as ad
 from . import genetics as gn
 from . import model as mdl
 from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_text,
-                      compute_visual_centers, decode_array, derive_knowledge_datasets,
-                      encode_array, read_json_object)
+                      check_fields, compute_visual_centers, decode_array,
+                      derive_knowledge_datasets, encode_array, read_json_object)
 
 Array = np.ndarray
 
 CHECKPOINT_VERSION = 3
 
 
-def fits(value, default) -> bool:
-    """Whether ``value`` may stand for a setting whose default is ``default``:
-    the default's type, an int for a float, a list of fitting items for a
-    tuple; a bool never fits."""
-    if isinstance(value, bool):
-        return False
-    if isinstance(default, tuple):
-        return (isinstance(value, (tuple, list)) and len(value) == len(default)
-                and all(fits(v, d) for v, d in zip(value, default)))
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
-
-
 @dataclass
 class TrainConfig:
-    steps: int = 300
-    n_nfg: int = 3
+    steps: int = field(default=300, metadata={"ge": 0})
+    n_nfg: int = field(default=3, metadata={"ge": 0})
     kappa1: float = 0.8
     kappa2: float = 0.2
-    lam: float = 1.0
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    noise_dim: int = 32
-    clip_c: float = 0.01
-    seed: int = 1
-    offspring_budget: int = 64
+    lam: float = field(default=1.0, metadata={"ge": 0})
+    batch_size: int = field(default=64, metadata={"ge": 1})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
+    noise_dim: int = field(default=32, metadata={"ge": 1})
+    clip_c: float = field(default=0.01, metadata={"gt": 0})
+    seed: int = field(default=1, metadata={"ge": 0})
+    offspring_budget: int = field(default=64, metadata={"ge": 0})
     fusion_mode: str = "adaptive"
-    gen_hidden: int = 256
-    disc_hidden: tuple[int, int] = (256, 128)
-    fusion_hidden: int = 64
-    alpha: float = 0.2
+    gen_hidden: int = field(default=256, metadata={"ge": 1})
+    disc_hidden: tuple[int, int] = field(default=(256, 128), metadata={"ge": 1})
+    fusion_hidden: int = field(default=64, metadata={"ge": 1})
+    alpha: float = field(default=0.2, metadata={"ge": 0, "le": 1})
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not fits(value, f.default):
-                raise ValueError(f"config field {f.name!r} must be {f.type}, got {value!r}")
-            if isinstance(f.default, float):
-                setattr(self, f.name, float(value))
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if self.n_nfg < 0:
-            raise ValueError("n_nfg must be non-negative")
-        if self.kappa1 <= self.kappa2:
+        check_fields(self)
+        if not self.kappa1 > self.kappa2:
             raise ValueError("kappa1 must exceed kappa2")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
-        if self.learning_rate <= 0.0 or self.clip_c <= 0.0:
-            raise ValueError("learning rate and clip constant must be positive")
-        if self.lam < 0.0:
-            raise ValueError("lambda must be non-negative")
-        if self.noise_dim < 1:
-            raise ValueError("noise dimension must be at least 1")
-        if self.offspring_budget < 0:
-            raise ValueError("offspring budget must be non-negative")
         if self.fusion_mode not in mdl.FUSION_MODES:
             raise ValueError(f"unknown fusion mode: {self.fusion_mode!r}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-        self.disc_hidden = tuple(self.disc_hidden)
-        for name in ("gen_hidden", "disc_hidden", "fusion_hidden"):
-            value = getattr(self, name)
-            if min(np.atleast_1d(value)) < 1:
-                raise ValueError(f"layer widths in {name} must be at least 1, "
-                                 f"got {value!r}")
 
 
 @dataclass

@@ -267,6 +267,8 @@ BAD_VALUES = [
     ("gen-data", None, ["--seed", -1], None, "seed"),
     ("train", None, ["--seed", -1], None, "seed"),
     ("train", {"alpha": 1.5}, [], None, "alpha"),
+    ("gen-data", {"semantic_noise_std": -1}, [], None, "semantic_noise_std"),
+    ("train", {"clip_c": 0}, [], None, "clip_c"),
     ("eval", {"n_syn": True}, [], None, "n_syn"),
     ("eval", {"n_syn": "4"}, [], None, "n_syn"),
     ("eval", {"n_syn": None}, [], None, "n_syn"),
@@ -306,8 +308,8 @@ OUT_OF_RANGE_FIELDS = [
     (("dims", "visual"), -6, "dims/visual"),
     (("dims", "semantic"), 0, "dims/semantic"),
     (("dims", "n_classes"), 0, "dims/n_classes"),
-    (("config", "gen_hidden"), 0,
-     "bad-checkpoint.json config: layer widths in gen_hidden"),
+    (("config", "gen_hidden"), 0, "bad-checkpoint.json config: gen_hidden"),
+    (("config", "seed"), -1, "seed"),
 ]
 
 
@@ -394,6 +396,27 @@ class TestBadInput:
         assert_field_rejected(tmp_path, capsys, small_data, trained, "checkpoint", where,
                               value, name)
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("split,problem", [("unseen", "have no class record"),
+                                               ("seen", "listed more than once")])
+    def test_split_ids_checked(self, tmp_path, small_data, trained, capsys, command,
+                               split, problem):
+        """An unknown id appended to the unseen split, or the first seen id
+        repeated, stops the command on one line naming the split and the id."""
+        document = json.loads(small_data.read_text())
+        ids = document["splits"][split]
+        ids.append(999 if split == "unseen" else ids[0])
+        bad = tmp_path / "bad-data.json"
+        bad.write_text(json.dumps(document))
+        inputs = ["--data", bad]
+        if command == "eval":
+            inputs += ["--checkpoint", trained / "checkpoint.json"]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(command, *inputs, "--out", out) == 1
+        assert_one_error_line(capsys, f"{split} split: species [{ids[-1]}]", problem)
+        assert not out.exists()
+
     def test_resume_rejects_pool_class_missing_from_bundle(self, tmp_path, small_data,
                                                            trained, capsys):
         document = json.loads((trained / "checkpoint.json").read_text())
@@ -469,7 +492,7 @@ class TestBadInput:
         (lambda config: config.update(bogus=1), "bogus"),
         (lambda config: config.pop("alpha"), "alpha"),
         (lambda config: config.update(batch_size="8"), "batch_size"),
-        (lambda config: config.update(alpha=1.5), "alpha must lie in")])
+        (lambda config: config.update(alpha=1.5), "alpha must be <= 1")])
     def test_checkpoint_config_keys_checked(self, tmp_path, small_data, trained,
                                             capsys, change, name):
         document = json.loads((trained / "checkpoint.json").read_text())

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,17 @@ class TestDerive:
             for row, sid in zip(datasets[level].semantics, bundle.seen_sample_species()):
                 np.testing.assert_array_equal(row, bundle.semantic_for(sid))
 
+    @pytest.mark.parametrize("seen,unseen,message", [
+        ([0, 999], [1], "seen split: species [999] have no class record"),
+        ([0], [1, 998, 999], "unseen split: species [998, 999] have no class record"),
+        ([0, 0], [1], "seen split: species [0] are listed more than once"),
+        ([0], [1, 1, 1], "unseen split: species [1] are listed more than once")])
+    def test_split_ids_must_be_known_and_distinct(self, seen, unseen, message):
+        classes = [ClassRecord(i, 0, 0, f"s{i}", np.zeros(2)) for i in (0, 1)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DatasetBundle(classes, np.array([0, 1]), np.zeros((2, 2)),
+                          seen_ids=seen, unseen_ids=unseen, visual_dim=2, semantic_dim=2)
+
     def test_unknown_species_rejected(self):
         classes = [ClassRecord(0, 0, 0, "a", np.zeros(2))]
         with pytest.raises(ValueError, match="unknown species"):
@@ -142,6 +154,28 @@ class TestCenters:
             centers.rows_for(np.array([0, 99]))
 
 
+# Every bounded SyntheticSpec field just past each end of its range:
+# (dataclass, field, bad value). A closed end is passed by the smallest
+# step, an open end by the bound itself.
+OUT_OF_RANGE = [
+    (SyntheticSpec, "families", 0),
+    (SyntheticSpec, "genera_per_family", 0),
+    (SyntheticSpec, "species_per_genus", 0),
+    (SyntheticSpec, "samples_per_species", 0),
+    (SyntheticSpec, "visual_dim", 0),
+    (SyntheticSpec, "semantic_dim", -1),
+    (SyntheticSpec, "unseen_fraction", 0.0),
+    (SyntheticSpec, "unseen_fraction", 1),
+    (SyntheticSpec, "sigma_family", 0.0),
+    (SyntheticSpec, "sigma_genus", 0.0),
+    (SyntheticSpec, "sigma_species", 0.0),
+    (SyntheticSpec, "sigma_species", -0.25),
+    (SyntheticSpec, "noise_std", 0),
+    (SyntheticSpec, "semantic_noise_std", -1e-12),
+    (SyntheticSpec, "noise_std", float("nan")),
+]
+
+
 class TestSynthetic:
     def test_default_counts(self):
         bundle = generate_synthetic(SyntheticSpec(), seed=1)
@@ -178,12 +212,31 @@ class TestSynthetic:
         assert accuracy >= 0.99
 
     def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError, match="between 0 and 1"):
+        with pytest.raises(ValueError, match="unseen_fraction"):
             SyntheticSpec(unseen_fraction=1.0)
-        with pytest.raises(ValueError, match="at least 1"):
+        with pytest.raises(ValueError, match="families"):
             SyntheticSpec(families=0)
         with pytest.raises(ValueError, match="decrease"):
             SyntheticSpec(sigma_family=0.1, sigma_genus=0.5)
+
+    @pytest.mark.parametrize("cls,name,value", OUT_OF_RANGE)
+    def test_out_of_range_names_the_field(self, cls, name, value):
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("families", True), ("visual_dim", 4.0), ("sigma_family", "1"),
+        ("noise_std", None)])
+    def test_wrong_type_names_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SyntheticSpec(**{name: value})
+
+    def test_closed_range_ends_are_valid(self):
+        spec = SyntheticSpec(families=1, genera_per_family=1, species_per_genus=2,
+                             samples_per_species=1, visual_dim=1, semantic_dim=1,
+                             semantic_noise_std=0)
+        assert spec.semantic_noise_std == 0.0
+        assert type(SyntheticSpec(sigma_family=2).sigma_family) is float
 
 
 class TestPersistence:

@@ -42,7 +42,36 @@ class TestGeneticDraw:
                            loc2=np.array([], dtype=np.int64))
 
 
+def mutate_per_position(t_a, rng, draw):
+    """The reference mutation: one ``rng.uniform()`` per position of ``loc1``,
+    in order, multiplying a nonzero entry and adding to a zero one."""
+    out = np.array(t_a, dtype=np.float64)
+    for position in draw.loc1:
+        r = float(rng.uniform())
+        if out[position] != 0.0:
+            out[position] *= r
+        else:
+            out[position] += r
+    return out
+
+
 class TestMutate:
+    def test_matches_per_position_reference(self):
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            dim = int(rng.integers(1, 20))
+            t_a = rng.normal(0, 1, dim)
+            t_a[rng.random(dim) < 0.3] = 0.0
+            t_a[rng.random(dim) < 0.2] = -0.0
+            draw = (forced_draw(dim) if i % 10 == 0
+                    else gn.GeneticDraw.sample(dim, rng))
+            seed = int(rng.integers(2**32))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = gn.mutate(t_a, ours, draw)
+            expected = mutate_per_position(t_a, theirs, draw)
+            assert out.tobytes() == expected.tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
     def test_empty_mutation_set_is_identity(self):
         rng = np.random.default_rng(1)
         t_a = rng.normal(0, 1, 8)

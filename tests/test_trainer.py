@@ -77,15 +77,62 @@ def csv_without_seconds(report: tr.TrainReport) -> str:
     return "\n".join(",".join(line.split(",")[:-1]) for line in lines)
 
 
+# Every bounded TrainConfig field just past each end of its range:
+# (dataclass, field, bad value). A closed end is passed by the smallest
+# step, an open end by the bound itself.
+OUT_OF_RANGE = [
+    (TrainConfig, "steps", -1),
+    (TrainConfig, "n_nfg", -1),
+    (TrainConfig, "lam", -1e-12),
+    (TrainConfig, "batch_size", 0),
+    (TrainConfig, "learning_rate", 0.0),
+    (TrainConfig, "learning_rate", -1e-3),
+    (TrainConfig, "noise_dim", 0),
+    (TrainConfig, "clip_c", 0),
+    (TrainConfig, "seed", -1),
+    (TrainConfig, "offspring_budget", -1),
+    (TrainConfig, "gen_hidden", 0),
+    (TrainConfig, "disc_hidden", (0, 5)),
+    (TrainConfig, "disc_hidden", [5, 0]),
+    (TrainConfig, "fusion_hidden", 0),
+    (TrainConfig, "alpha", -1e-12),
+    (TrainConfig, "alpha", 1 + 1e-12),
+    (TrainConfig, "lam", float("nan")),
+]
+
+# The closed ends not covered by their own test below: each value is valid.
+RANGE_ENDS = [("n_nfg", 0), ("lam", 0), ("batch_size", 1), ("noise_dim", 1),
+              ("seed", 0), ("offspring_budget", 0), ("gen_hidden", 1),
+              ("disc_hidden", (1, 1)), ("fusion_hidden", 1)]
+
+
 class TestConfig:
+    @pytest.mark.parametrize("cls,name,value", OUT_OF_RANGE)
+    def test_out_of_range_names_the_field(self, cls, name, value):
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("name,value", RANGE_ENDS)
+    def test_closed_range_ends_are_valid(self, name, value):
+        assert getattr(TrainConfig(**{name: value}), name) == value
+
+    def test_range_error_gives_bound_and_value(self):
+        with pytest.raises(ValueError, match=re.escape("clip_c must be > 0, got 0.0")):
+            TrainConfig(clip_c=0)
+        with pytest.raises(ValueError, match=re.escape(
+                "disc_hidden must be >= 1, got (5, -1)")):
+            TrainConfig(disc_hidden=[5, -1])
+
     def test_invariants(self):
         with pytest.raises(ValueError, match="kappa1"):
             TrainConfig(kappa1=0.2, kappa2=0.8)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="kappa1"):
+            TrainConfig(kappa1=float("nan"))
+        with pytest.raises(ValueError, match="steps"):
             TrainConfig(steps=-1)
         with pytest.raises(ValueError, match="batch"):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError, match="fusion mode"):
             TrainConfig(fusion_mode="concat")
