@@ -38,8 +38,9 @@ def fits(value, default) -> bool:
 
 def check_fields(obj) -> None:
     """Check every field of the dataclass ``obj``: its value must ``fit`` the
-    default and meet the field's bounds, entry by entry for a tuple. An int
-    given for a float is stored as a float, a list for a tuple as a tuple."""
+    default, be finite if it is a float, and meet the field's bounds, entry by
+    entry for a tuple. An int given for a float is stored as a float, a list
+    for a tuple as a tuple."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not fits(value, f.default):
@@ -47,6 +48,8 @@ def check_fields(obj) -> None:
         if isinstance(f.default, (float, tuple)):
             value = type(f.default)(value)
             setattr(obj, f.name, value)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
         entries = value if isinstance(value, tuple) else (value,)
         for key, bound in f.metadata.items():
             test, symbol = _BOUNDS[key]

@@ -203,12 +203,12 @@ def enhanced_terms(model: FusionGan, t_batch: Array, labels: Array, z: Array) ->
 
 def loss_er(model: FusionGan, pools: Pools,
             species_under: dict[tuple[str, int], list[int]],
-            label_index: dict[int, int], rng: np.random.Generator,
-            batch_size: int) -> Tensor:
+            rng: np.random.Generator, batch_size: int) -> Tensor:
     """Enhanced-pool loss over a sampled minibatch; zero when the pool is empty.
 
-    Entries at genus or family level get a species label drawn uniformly from
-    the species grouped under their class.
+    ``species_under`` maps each (level, class id) key to the class-head labels
+    of the seen species under it; every entry gets one of its key's labels,
+    drawn uniformly, so genus and family entries get a species label.
     """
     flat = pools.enhanced.flat()
     if not flat:
@@ -219,8 +219,7 @@ def loss_er(model: FusionGan, pools: Pools,
         level, class_id, vector = flat[int(i)]
         rows.append(vector)
         members = species_under[(level, class_id)]
-        species = members[int(rng.integers(0, len(members)))]
-        labels.append(label_index[species])
+        labels.append(members[int(rng.integers(0, len(members)))])
     t_batch = np.stack(rows)
     z = rng.standard_normal((len(rows), model.noise_dim))
     return enhanced_terms(model, t_batch, np.asarray(labels), z)
@@ -254,12 +253,11 @@ def novel_terms(model: FusionGan, t_batch: Array, z: Array, lam: float) -> Tenso
 
 
 def loss_fusion(model: FusionGan, fused: Tensor, labels: Array, pools: Pools,
-                species_under: dict[tuple[str, int], list[int]],
-                label_index: dict[int, int], lam: float,
+                species_under: dict[tuple[str, int], list[int]], lam: float,
                 rng: np.random.Generator, batch_size: int) -> tuple[Tensor, float, float]:
     """Fusion-module loss: critic + classification terms on the fused batch
     plus the two pool losses. Returns (total, er value, nr value)."""
     base = adversarial_and_classification(model.discriminator, fused, labels)
-    er = loss_er(model, pools, species_under, label_index, rng, batch_size)
+    er = loss_er(model, pools, species_under, rng, batch_size)
     nr = loss_nr(model, pools, lam, rng, batch_size)
     return ad.add(ad.add(base, er), nr), er.item(), nr.item()

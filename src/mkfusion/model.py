@@ -16,9 +16,23 @@ Array = np.ndarray
 FUSION_MODES = ("adaptive", "summing")
 
 
-def _init_param(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+def _layers(rng: np.random.Generator, *layers: tuple[str, int, int]) -> dict[str, Tensor]:
+    """A network's parameter table: for each ``(name, n_in, n_out)`` layer the
+    weight ``w<name>`` and then the bias ``b<name>``, both drawn uniform in
+    +-1/sqrt(n_in)."""
+    table = {}
+    for name, n_in, n_out in layers:
+        bound = 1.0 / np.sqrt(n_in)
+        for key, shape in ((f"w{name}", (n_in, n_out)), (f"b{name}", (n_out,))):
+            table[key] = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+    return table
+
+
+def _dense(x: Tensor, table: dict[str, Tensor], name: str,
+           alpha: float | None = None) -> Tensor:
+    """``x @ w<name> + b<name>``, then a leaky ReLU when ``alpha`` is given."""
+    y = ad.add(ad.matmul(x, table[f"w{name}"]), table[f"b{name}"])
+    return y if alpha is None else ad.leaky_relu(y, alpha=alpha)
 
 
 class GeneratorNet:
@@ -29,18 +43,12 @@ class GeneratorNet:
         self.level = level
         self.semantic_dim = semantic_dim
         self.noise_dim = noise_dim
-        self.visual_dim = visual_dim
         self.alpha = alpha
-        fan_in = semantic_dim + noise_dim
-        self.w1 = _init_param(rng, fan_in, (fan_in, hidden))
-        self.b1 = _init_param(rng, fan_in, (hidden,))
-        self.w2 = _init_param(rng, hidden, (hidden, visual_dim))
-        self.b2 = _init_param(rng, hidden, (visual_dim,))
+        self.params = _layers(rng, ("1", semantic_dim + noise_dim, hidden),
+                              ("2", hidden, visual_dim))
 
     def named_params(self) -> dict[str, Tensor]:
-        prefix = f"generator/{self.level}"
-        return {f"{prefix}/w1": self.w1, f"{prefix}/b1": self.b1,
-                f"{prefix}/w2": self.w2, f"{prefix}/b2": self.b2}
+        return {f"generator/{self.level}/{k}": p for k, p in self.params.items()}
 
 
 def generate(gen: GeneratorNet, t: Array, z: Array) -> Tensor:
@@ -53,9 +61,8 @@ def generate(gen: GeneratorNet, t: Array, z: Array) -> Tensor:
     if z.shape != (t.shape[0], gen.noise_dim):
         raise ValueError(f"generate: noise must be ({t.shape[0]}, {gen.noise_dim}), "
                          f"got {z.shape}")
-    x = Tensor(np.hstack([t, z]))
-    h = ad.leaky_relu(ad.add(ad.matmul(x, gen.w1), gen.b1), alpha=gen.alpha)
-    return ad.add(ad.matmul(h, gen.w2), gen.b2)
+    h = _dense(Tensor(np.hstack([t, z])), gen.params, "1", gen.alpha)
+    return _dense(h, gen.params, "2")
 
 
 class DiscriminatorNet:
@@ -68,25 +75,15 @@ class DiscriminatorNet:
     def __init__(self, visual_dim: int, n_classes: int, hidden1: int, hidden2: int,
                  alpha: float, rng: np.random.Generator):
         self.visual_dim = visual_dim
-        self.n_classes = n_classes
         self.alpha = alpha
-        self.w1 = _init_param(rng, visual_dim, (visual_dim, hidden1))
-        self.b1 = _init_param(rng, visual_dim, (hidden1,))
-        self.w2 = _init_param(rng, hidden1, (hidden1, hidden2))
-        self.b2 = _init_param(rng, hidden1, (hidden2,))
-        self.w_real = _init_param(rng, hidden2, (hidden2, 1))
-        self.b_real = _init_param(rng, hidden2, (1,))
-        self.w_cls = _init_param(rng, hidden2, (hidden2, n_classes))
-        self.b_cls = _init_param(rng, hidden2, (n_classes,))
+        self.params = _layers(rng, ("1", visual_dim, hidden1), ("2", hidden1, hidden2),
+                              ("_real", hidden2, 1), ("_cls", hidden2, n_classes))
 
     def named_params(self) -> dict[str, Tensor]:
-        return {"discriminator/w1": self.w1, "discriminator/b1": self.b1,
-                "discriminator/w2": self.w2, "discriminator/b2": self.b2,
-                "discriminator/w_real": self.w_real, "discriminator/b_real": self.b_real,
-                "discriminator/w_cls": self.w_cls, "discriminator/b_cls": self.b_cls}
+        return {f"discriminator/{k}": p for k, p in self.params.items()}
 
     def critic_params(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2, self.w_real, self.b_real]
+        return [p for k, p in self.params.items() if not k.endswith("_cls")]
 
 
 def discriminate(disc: DiscriminatorNet, x: Tensor | Array, *, classify: bool = True
@@ -98,12 +95,9 @@ def discriminate(disc: DiscriminatorNet, x: Tensor | Array, *, classify: bool = 
     if x.ndim != 2 or x.shape[1] != disc.visual_dim:
         raise ValueError(f"discriminate: expected (n, {disc.visual_dim}) rows, "
                          f"got {x.shape}")
-    h = ad.leaky_relu(ad.add(ad.matmul(x, disc.w1), disc.b1), alpha=disc.alpha)
-    h = ad.leaky_relu(ad.add(ad.matmul(h, disc.w2), disc.b2), alpha=disc.alpha)
-    realness = ad.add(ad.matmul(h, disc.w_real), disc.b_real)
-    if not classify:
-        return realness, None
-    return realness, ad.add(ad.matmul(h, disc.w_cls), disc.b_cls)
+    h = _dense(_dense(x, disc.params, "1", disc.alpha), disc.params, "2", disc.alpha)
+    realness = _dense(h, disc.params, "_real")
+    return realness, (_dense(h, disc.params, "_cls") if classify else None)
 
 
 class FusionNet:
@@ -111,29 +105,17 @@ class FusionNet:
 
     def __init__(self, visual_dim: int, hidden: int, alpha: float,
                  rng: np.random.Generator):
-        self.visual_dim = visual_dim
         self.alpha = alpha
-        self.layers: dict[str, dict[str, Tensor]] = {}
-        for level in LEVELS:
-            self.layers[level] = {
-                "w1": _init_param(rng, visual_dim, (visual_dim, hidden)),
-                "b1": _init_param(rng, visual_dim, (hidden,)),
-                "w2": _init_param(rng, hidden, (hidden, 1)),
-                "b2": _init_param(rng, hidden, (1,)),
-            }
+        self.layers = {level: _layers(rng, ("1", visual_dim, hidden), ("2", hidden, 1))
+                       for level in LEVELS}
 
     def named_params(self) -> dict[str, Tensor]:
-        out = {}
-        for level in LEVELS:
-            for key, tensor in self.layers[level].items():
-                out[f"fusion/{level}/{key}"] = tensor
-        return out
+        return {f"fusion/{level}/{k}": p
+                for level in LEVELS for k, p in self.layers[level].items()}
 
     def score(self, level: str, x: Tensor) -> Tensor:
         layer = self.layers[level]
-        h = ad.leaky_relu(ad.add(ad.matmul(x, layer["w1"]), layer["b1"]),
-                          alpha=self.alpha)
-        return ad.sigmoid(ad.add(ad.matmul(h, layer["w2"]), layer["b2"]))
+        return ad.sigmoid(_dense(_dense(x, layer, "1", self.alpha), layer, "2"))
 
 
 def normalize_scores(scores: dict[str, Tensor]) -> dict[str, Tensor]:

@@ -84,12 +84,13 @@ def seen_label_index(bundle: DatasetBundle) -> dict[int, int]:
 
 
 def species_groups(bundle: DatasetBundle) -> dict[tuple[str, int], list[int]]:
-    """Seen species ids grouped under every (level, class id) key."""
+    """The class-head labels (``seen_label_index``) of the seen species grouped
+    under every (level, class id) key, in species-id order."""
     groups: dict[tuple[str, int], list[int]] = {}
-    for sid in sorted(bundle.seen_ids):
+    for label, sid in enumerate(sorted(bundle.seen_ids)):
         record = bundle.by_species[sid]
         for level in LEVELS:
-            groups.setdefault((level, record.level_id(level)), []).append(sid)
+            groups.setdefault((level, record.level_id(level)), []).append(label)
     return groups
 
 
@@ -146,12 +147,9 @@ class _Session:
                         for level in LEVELS}
         self.label_index = seen_label_index(bundle)
         self.groups = species_groups(bundle)
-        self.visuals = bundle.seen_visuals()
-        species = bundle.seen_sample_species()
-        self.n_samples = len(species)
-        self.dense_labels = np.asarray([self.label_index[int(s)] for s in species],
+        self.dense_labels = np.asarray([self.label_index[int(s)]
+                                        for s in self.datasets["species"].labels],
                                        dtype=np.int64)
-        self.level_labels = {level: self.datasets[level].labels for level in LEVELS}
         self.semantic_dim = bundle.semantic_dim
 
         if resume is not None:
@@ -207,7 +205,7 @@ class _Session:
 
     def sample_batch(self):
         config, rng = self.config, self.rng
-        idx = rng.integers(0, self.n_samples, size=config.batch_size)
+        idx = rng.integers(0, len(self.datasets["species"]), size=config.batch_size)
         z = rng.standard_normal((config.batch_size, config.noise_dim))
         return idx, self.datasets["species"].semantics[idx], z
 
@@ -216,7 +214,8 @@ class _Session:
         idx, t_batch, z = self.sample_batch()
         with ad.no_grad():
             _, fused, _ = self.model.generate_fused(t_batch, z)
-        loss = mdl.loss_discriminator(self.model.discriminator, self.visuals[idx],
+        loss = mdl.loss_discriminator(self.model.discriminator,
+                                      self.datasets["species"].visuals[idx],
                                       fused.data, self.dense_labels[idx])
         self.opt_d.step(ad.backward(loss, wrt=self.opt_d.params))
         ad.clip_weights(self.model.discriminator.critic_params(), config.clip_c)
@@ -231,14 +230,14 @@ class _Session:
         features, fused, _ = self.model.generate_fused(t_batch, z)
         gen_losses = {}
         for level in LEVELS:
-            rows = self.centers[level].rows_for(self.level_labels[level][idx])
+            rows = self.centers[level].rows_for(self.datasets[level].labels[idx])
             gen_losses[level] = mdl.loss_generator(self.model.discriminator,
                                                    features[level], batch_labels, rows)
         total_gen = ad.add(ad.add(gen_losses[LEVELS[0]], gen_losses[LEVELS[1]]),
                            gen_losses[LEVELS[2]])
         loss_fm, er_value, nr_value = gn.loss_fusion(
-            self.model, fused, batch_labels, self.pools, self.groups,
-            self.label_index, config.lam, self.rng, config.batch_size)
+            self.model, fused, batch_labels, self.pools, self.groups, config.lam,
+            self.rng, config.batch_size)
         values = {"l_g_species": gen_losses["species"].item(),
                   "l_g_genus": gen_losses["genus"].item(),
                   "l_g_family": gen_losses["family"].item(),

@@ -275,6 +275,16 @@ BAD_VALUES = [
     ("eval", None, ["--mode", "foo"], None, "mode"),
     ("retrieve", {"k": 2.7}, [], None, "k"),
     ("retrieve", {"k": None}, [], None, "k"),
+    # Non-finite floats; json.dumps writes them as Infinity and -Infinity.
+    ("train", {"learning_rate": float("inf")}, [], None,
+     "learning_rate must be finite, got inf"),
+    ("train", {"clip_c": float("inf")}, [], None, "clip_c must be finite, got inf"),
+    ("train", {"kappa1": float("inf")}, [], None, "kappa1 must be finite, got inf"),
+    ("train", {"kappa2": float("-inf")}, [], None, "kappa2 must be finite, got -inf"),
+    ("gen-data", {"sigma_family": float("inf")}, [], None,
+     "sigma_family must be finite, got inf"),
+    ("gen-data", {"noise_std": float("inf")}, [], None,
+     "noise_std must be finite, got inf"),
 ]
 
 # A field of a saved file set to a value of the wrong JSON type, with the

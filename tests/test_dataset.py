@@ -231,6 +231,14 @@ class TestSynthetic:
         with pytest.raises(ValueError, match=name):
             SyntheticSpec(**{name: value})
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["unseen_fraction", "sigma_family", "sigma_genus",
+                                      "sigma_species", "noise_std", "semantic_noise_std"])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be finite, got {value!r}")):
+            SyntheticSpec(**{name: value})
+
     def test_closed_range_ends_are_valid(self):
         spec = SyntheticSpec(families=1, genera_per_family=1, species_per_genus=2,
                              samples_per_species=1, visual_dim=1, semantic_dim=1,

@@ -4,6 +4,7 @@ import pytest
 from mkfusion import autodiff as ad
 from mkfusion import genetics as gn
 from mkfusion import model as mdl
+from mkfusion import trainer as tr
 from mkfusion.dataset import (LEVELS, SyntheticSpec, compute_visual_centers,
                               derive_knowledge_datasets, generate_synthetic)
 
@@ -258,22 +259,29 @@ class TestSelect:
 
 
 def label_context(bundle):
+    """The class-head label of each seen species (its index in sorted id
+    order), and those labels grouped under every (level, class id) key."""
     label_index = {sid: i for i, sid in enumerate(sorted(bundle.seen_ids))}
     species_under = {}
-    for sid in bundle.seen_ids:
+    for sid, label in label_index.items():
         record = bundle.by_species[sid]
-        species_under.setdefault(("species", sid), []).append(sid)
-        species_under.setdefault(("genus", record.genus_id), []).append(sid)
-        species_under.setdefault(("family", record.family_id), []).append(sid)
+        species_under.setdefault(("species", sid), []).append(label)
+        species_under.setdefault(("genus", record.genus_id), []).append(label)
+        species_under.setdefault(("family", record.family_id), []).append(label)
     return species_under, label_index
 
 
 class TestPoolLosses:
+    def test_trainer_groups_hold_class_head_labels(self):
+        bundle = desk_context()[0]
+        species_under, _ = label_context(bundle)
+        assert tr.species_groups(bundle) == species_under
+
     def test_empty_pools_give_zero(self):
         bundle, datasets, centers, model = desk_context()
-        species_under, label_index = label_context(bundle)
+        species_under, _ = label_context(bundle)
         rng = np.random.default_rng(14)
-        er = gn.loss_er(model, gn.Pools(), species_under, label_index, rng, 8)
+        er = gn.loss_er(model, gn.Pools(), species_under, rng, 8)
         nr = gn.loss_nr(model, gn.Pools(), 1.0, rng, 8)
         assert er.item() == 0.0
         assert nr.item() == 0.0
@@ -285,8 +293,8 @@ class TestPoolLosses:
         vec = datasets["species"].semantics[0]
         class_id = int(datasets["species"].labels[0])
         pools.enhanced.add("species", class_id, vec)
-        value = gn.loss_er(model, pools, species_under, label_index,
-                           np.random.default_rng(77), 8).item()
+        value = gn.loss_er(model, pools, species_under, np.random.default_rng(77),
+                           8).item()
         # Replay the identical rng stream to reproduce the sampled batch.
         rng = np.random.default_rng(77)
         rng.choice(1, size=1, replace=False)
@@ -299,12 +307,12 @@ class TestPoolLosses:
 
     def test_er_label_comes_from_group_members(self):
         bundle, datasets, centers, model = desk_context(seed=6)
-        species_under, label_index = label_context(bundle)
+        species_under, _ = label_context(bundle)
         pools = gn.Pools()
         genus_id = bundle.by_species[bundle.seen_ids[0]].genus_id
         pools.enhanced.add("genus", genus_id, datasets["genus"].semantics[0])
         rng = np.random.default_rng(15)
-        loss = gn.loss_er(model, pools, species_under, label_index, rng, 4)
+        loss = gn.loss_er(model, pools, species_under, rng, 4)
         assert np.isfinite(loss.item())
 
     def test_nr_uniform_posterior_zeroes_mismatch(self):
@@ -346,8 +354,8 @@ class TestPoolLosses:
                            datasets["species"].labels[:4]])
         seed_state = rng.bit_generator.state
         total, er_value, nr_value = gn.loss_fusion(
-            model, fused, labels, pools, species_under, label_index,
-            lam=1.0, rng=rng, batch_size=4)
+            model, fused, labels, pools, species_under, lam=1.0, rng=rng,
+            batch_size=4)
         with ad.no_grad():
             base = mdl.adversarial_and_classification(model.discriminator,
                                                       ad.Tensor(fused.data), labels)
@@ -356,6 +364,6 @@ class TestPoolLosses:
 
     def test_uniform_target_width_matches_seen_classes(self):
         _, _, _, model = desk_context()
-        assert model.n_classes == model.discriminator.n_classes
+        assert model.n_classes == model.discriminator.params["w_cls"].shape[1]
         uniform = np.full(model.n_classes, 1.0 / model.n_classes)
         assert uniform.sum() == pytest.approx(1.0)

@@ -222,7 +222,7 @@ class TestLosses:
         batch = Tensor(np.random.default_rng(12).normal(0, 1, (4, 6)))
         labels = np.zeros(4, dtype=np.int64)
         before = mdl.adversarial_and_classification(m.discriminator, batch, labels).item()
-        m.discriminator.b_real.data += 1.0
+        m.discriminator.params["b_real"].data += 1.0
         after = mdl.adversarial_and_classification(m.discriminator, batch, labels).item()
         assert after == pytest.approx(before - 1.0)
 
@@ -243,7 +243,7 @@ class TestLosses:
         mdl.loss_discriminator(m.discriminator, rng.normal(0, 1, (4, 6)),
                                rng.normal(0, 1, (4, 6)), rng.integers(0, 5, 4))
         class_head = [node for node in ad.active_graph()
-                      if any(t is m.discriminator.w_cls for t in node.inputs)]
+                      if any(t is m.discriminator.params["w_cls"] for t in node.inputs)]
         assert len(class_head) == 1
 
     def test_discriminator_training_decreases_loss(self):
@@ -292,6 +292,69 @@ class TestLosses:
         full = ad.backward(loss, wrt=gen + m.discriminator_params())
         alone = ad.backward(loss, wrt=gen)
         assert [g.tobytes() for g in alone] == [g.tobytes() for g in full[:len(gen)]]
+
+
+def taped_kinds() -> list[str]:
+    """The op kind of each node on the tape, in order, read from the op
+    function that defines the node's vector-Jacobian product."""
+    return [node.vjp.__qualname__.split(".")[0] for node in ad.active_graph()]
+
+
+DENSE = ["matmul", "add"]
+HIDDEN = DENSE + ["leaky_relu"]
+
+
+class TestTapedOps:
+    """The op sequence each network call records. A change to it changes the
+    per-op counts of the benchmark and can change the output bits."""
+
+    def test_generate(self):
+        m = small_model()
+        mdl.generate(m.generators["species"], *batch_inputs(np.random.default_rng(0)))
+        assert taped_kinds() == HIDDEN + DENSE
+
+    def test_discriminate(self):
+        m = small_model()
+        mdl.discriminate(m.discriminator, np.ones((3, 6)))
+        assert taped_kinds() == HIDDEN + HIDDEN + DENSE + DENSE
+
+    def test_fuse(self):
+        m = small_model()
+        rng = np.random.default_rng(1)
+        mdl.fuse(m.fusion, {level: Tensor(rng.normal(0, 1, (3, 6))) for level in LEVELS})
+        assert taped_kinds() == (3 * (HIDDEN + DENSE + ["sigmoid"]) + ["add", "add"]
+                                 + 3 * ["div"] + 3 * ["mul"] + ["add", "add"])
+
+
+class TestInitialization:
+    def test_parameters_follow_the_documented_draw_order(self):
+        """One ``default_rng(seed)`` stream draws the generators (species,
+        genus, family), the discriminator, then the fusion nets (species,
+        genus, family); within a network layer by layer, the weight and then
+        the bias, uniform in +-1/sqrt(fan_in). Checkpoints and the Adam
+        moment lists rely on this order of names."""
+        seed = 23
+        rng = np.random.default_rng(seed)
+        expected = {}
+
+        def draw(prefix, *layers):
+            for name, n_in, n_out in layers:
+                bound = 1.0 / np.sqrt(n_in)
+                expected[f"{prefix}/w{name}"] = rng.uniform(-bound, bound, (n_in, n_out))
+                expected[f"{prefix}/b{name}"] = rng.uniform(-bound, bound, (n_out,))
+
+        # small_model: visual 6, semantic 4, noise 3, generator hidden 8,
+        # critic hidden (8, 7), fusion hidden 5, 5 classes.
+        for level in LEVELS:
+            draw(f"generator/{level}", ("1", 7, 8), ("2", 8, 6))
+        draw("discriminator", ("1", 6, 8), ("2", 8, 7), ("_real", 7, 1), ("_cls", 7, 5))
+        for level in LEVELS:
+            draw(f"fusion/{level}", ("1", 6, 5), ("2", 5, 1))
+        params = small_model(seed=seed).named_params()
+        assert list(params) == list(expected)
+        for name, values in expected.items():
+            assert params[name].shape == values.shape, name
+            assert params[name].data.tobytes() == values.tobytes(), name
 
 
 class TestFusionGan:

@@ -157,6 +157,15 @@ class TestConfig:
     def test_steps_zero_is_valid(self):
         assert TrainConfig(steps=0).steps == 0
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["kappa1", "kappa2", "lam", "learning_rate",
+                                      "clip_c", "alpha"])
+    def test_non_finite_float_rejected(self, name, value):
+        """Every float field, bounded or not, refuses inf, -inf and NaN."""
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be finite, got {value!r}")):
+            TrainConfig(**{name: value})
+
 
 class TestSchedule:
     def test_zero_steps_returns_untrained_model(self):
