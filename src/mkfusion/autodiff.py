@@ -13,6 +13,14 @@ bool per input, true when that input lies on a path from ``wrt``. The vjp
 returns one entry per input: the gradient for each needed input and ``None``
 for the rest, which it does not compute (data batches, and parameters that
 are not in ``wrt``).
+
+Finiteness is checked at the boundaries, not per op. A ``Tensor`` built from
+caller data rejects NaN and infinity; the output of an op is not scanned,
+because it is computed from tensors that were checked when they entered. A
+value that overflows inside the tape reaches the caller's own check: the
+per-loop loss check in ``trainer.train``, the stability scores in
+``genetics.stability_scores``, the prototypes in
+``evaluation.synthesize_prototypes``.
 """
 
 from __future__ import annotations
@@ -30,8 +38,10 @@ Vjp = Callable[[Array, tuple[bool, ...]], tuple[Array | None, ...]]
 class Tensor:
     """A dense real-valued array that can participate in gradient taping.
 
-    Data is stored row-major in float64. Operations that take a tensor with
-    ``requires_grad`` are taped, and their outputs require gradients too.
+    Data is stored row-major in float64. A tensor built from caller data must
+    be finite; op outputs are built without that scan. Operations that take a
+    tensor with ``requires_grad`` are taped, and their outputs require
+    gradients too.
     """
 
     __slots__ = ("data", "requires_grad")
@@ -96,7 +106,14 @@ def no_grad():
 
 
 def _record(inputs: tuple[Tensor, ...], out_data: Array, vjp: Vjp) -> Tensor:
-    out = Tensor(out_data)
+    # ``out_data`` is float64 computed from checked tensors, so the output
+    # skips ``Tensor.__init__``'s conversion and finiteness scan. Arithmetic
+    # on 0-d arrays yields a numpy scalar, which is wrapped back into one.
+    if type(out_data) is not np.ndarray:
+        out_data = np.asarray(out_data)
+    out = object.__new__(Tensor)
+    out.data = out_data
+    out.requires_grad = False
     if _grad_enabled:
         for t in inputs:
             if t.requires_grad:

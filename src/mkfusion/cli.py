@@ -146,7 +146,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if args.steps is not None:
             config = dataclasses.replace(config, steps=args.steps)
     else:
-        config = tr.TrainConfig(**_settings(args))
+        settings = _settings(args)
+        try:
+            config = tr.TrainConfig(**settings)
+        except ValueError as err:
+            # Range errors start with the field name; name the user's key.
+            name, _, rest = str(err).partition(" ")
+            raise ValueError(f"{ALIASES.get(name, name)} {rest}") from None
     bundle = load_bundle(args.data)
     result = tr.train(config, bundle, resume=resume_state)
     os.makedirs(args.out, exist_ok=True)

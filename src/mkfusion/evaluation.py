@@ -98,7 +98,8 @@ def synthesize_prototypes(model: FusionGan, semantics: dict[int, Array],
     stream so enlarging n_syn reuses the shorter stream as a prefix.
 
     The model fuses in its own mode; a ``fusion_mode`` given here is only
-    checked against it."""
+    checked against it. A generation that overflows raises one error instead
+    of numpy warnings and a non-finite prototype."""
     if fusion_mode is not None and fusion_mode != model.fusion_mode:
         raise ValueError(f"fusion mode {fusion_mode!r} does not match the model's "
                          f"{model.fusion_mode!r}")
@@ -109,9 +110,11 @@ def synthesize_prototypes(model: FusionGan, semantics: dict[int, Array],
         rng = np.random.default_rng([seed, int(class_id)])
         z = rng.standard_normal((n_syn, model.noise_dim))
         t = np.tile(np.asarray(semantics[class_id], dtype=np.float64), (n_syn, 1))
-        with ad.no_grad():
+        with ad.no_grad(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             _, fused, _ = model.generate_fused(t, z)
         prototypes[int(class_id)] = fused.data.mean(axis=0)
+    if not all(np.isfinite(p).all() for p in prototypes.values()):
+        raise ValueError("synthesized prototypes contain non-finite entries")
     return ClassPrototypes(prototypes=prototypes, n_syn=n_syn)
 
 

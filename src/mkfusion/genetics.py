@@ -9,6 +9,10 @@ pool (kept unlabeled), or discarded.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +54,15 @@ class GeneticDraw:
 
     @classmethod
     def sample(cls, dim: int, rng: np.random.Generator) -> "GeneticDraw":
-        r1 = float(rng.uniform())
-        r2 = float(rng.uniform())
-        loc1 = rng.choice(dim, size=int(dim * r1), replace=False)
-        loc2 = rng.choice(dim, size=int(dim * r2), replace=False)
-        return cls(dim=dim, r1=r1, r2=r2, loc1=loc1, loc2=loc2)
+        """A draw valid by construction, so ``__post_init__``'s checks are
+        skipped; draws built from outside still run them."""
+        draw = object.__new__(cls)
+        draw.dim = dim
+        draw.r1 = float(rng.uniform())
+        draw.r2 = float(rng.uniform())
+        draw.loc1 = rng.choice(dim, size=int(dim * draw.r1), replace=False)
+        draw.loc2 = rng.choice(dim, size=int(dim * draw.r2), replace=False)
+        return draw
 
 
 def mutate(t_a: Array, rng: np.random.Generator, draw: GeneticDraw) -> Array:
@@ -96,14 +104,41 @@ class EnhancedPool:
     def vectors_for(self, level: str, class_id: int) -> list[Array]:
         return self.entries.get((level, int(class_id)), [])
 
-    def flat(self) -> list[tuple[str, int, Array]]:
-        return [(level, class_id, vector)
-                for (level, class_id), vectors in self.entries.items()
-                for vector in vectors]
+    def flat(self) -> "PoolIndex":
+        """Every pooled (level, class id, vector), key by key in insertion
+        order, as a sequence indexed without copying the vectors."""
+        return PoolIndex(self.entries)
 
     @property
     def size(self) -> int:
         return sum(len(v) for v in self.entries.values())
+
+
+class PoolIndex(Sequence):
+    """Read-only view of an enhanced pool's entries as one sequence.
+
+    Built in O(keys) from each key's running end; item ``i`` bisects for its
+    key. Keys and vectors added after the view was built are not in it.
+    """
+
+    def __init__(self, entries: dict[tuple[str, int], list[Array]]):
+        self._keys = list(entries)
+        self._vectors = list(entries.values())
+        self._ends = list(itertools.accumulate(map(len, self._vectors)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i: int) -> tuple[str, int, Array]:
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("pool index out of range")
+        k = bisect.bisect_right(self._ends, i)
+        start = self._ends[k - 1] if k else 0
+        level, class_id = self._keys[k]
+        return level, class_id, self._vectors[k][i - start]
 
 
 @dataclass
@@ -168,13 +203,17 @@ def cosine_rows(a: Array, b: Array) -> Array:
 def stability_scores(offspring: Array, model: FusionGan, center_rows: Array,
                      rng: np.random.Generator) -> Array:
     """Cosine between each offspring's fused generation (fresh noise) and its
-    class center row. Values lie in [-1, 1]."""
+    class center row. Values lie in [-1, 1]; a generation that overflows
+    raises instead of yielding a NaN score, which no gate would take."""
     offspring = np.atleast_2d(np.asarray(offspring, dtype=np.float64))
     center_rows = np.atleast_2d(np.asarray(center_rows, dtype=np.float64))
     z = rng.standard_normal((offspring.shape[0], model.noise_dim))
-    with ad.no_grad():
+    with ad.no_grad(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         _, fused, _ = model.generate_fused(offspring, z)
-    return cosine_rows(fused.data, center_rows)
+    scores = cosine_rows(fused.data, center_rows)
+    if not np.isfinite(scores).all():
+        raise ValueError("stability scores contain non-finite entries")
+    return scores
 
 
 def select(t_new: Array, d: float, kappa1: float, kappa2: float, pools: Pools,

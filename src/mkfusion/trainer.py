@@ -264,28 +264,31 @@ def train(config: TrainConfig, bundle: DatasetBundle,
     Per outer loop: offspring generation and gating once the loop index
     passes ``n_nfg``, then exactly five critic updates, then one generator
     update and one fusion update from the same forward pass. Deterministic
-    for a fixed config and bundle; any non-finite value aborts with the
-    offending loop index.
+    for a fixed config and bundle. A non-finite loss, generated critic batch
+    or stability score aborts the run with the offending loop index; numpy's
+    floating-point warnings are silenced in the loop, so that error is all a
+    diverging run reports.
     """
     session = _Session(config, bundle, resume)
-    for loop in range(session.first_loop, config.steps + 1):
-        started = time.perf_counter()
-        try:
-            if loop > config.n_nfg:
-                session.run_nfg_phase()
-            d_losses = [session.discriminator_step() for _ in range(5)]
-            values = session.generator_fusion_step()
-        except ValueError as err:
-            raise RuntimeError(f"training aborted at loop {loop}: {err}") from err
-        values["l_d"] = float(np.mean(d_losses))
-        bad = sorted(k for k, v in values.items() if not np.isfinite(v))
-        if bad:
-            raise RuntimeError(f"training aborted at loop {loop}: "
-                               f"non-finite losses {bad}")
-        session.report.rows.append(LoopRecord(
-            loop=loop, enhanced_size=session.pools.enhanced.size,
-            novel_size=session.pools.novel.size,
-            seconds=time.perf_counter() - started, **values))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for loop in range(session.first_loop, config.steps + 1):
+            started = time.perf_counter()
+            try:
+                if loop > config.n_nfg:
+                    session.run_nfg_phase()
+                d_losses = [session.discriminator_step() for _ in range(5)]
+                values = session.generator_fusion_step()
+            except ValueError as err:
+                raise RuntimeError(f"training aborted at loop {loop}: {err}") from err
+            values["l_d"] = float(np.mean(d_losses))
+            bad = sorted(k for k, v in values.items() if not np.isfinite(v))
+            if bad:
+                raise RuntimeError(f"training aborted at loop {loop}: "
+                                   f"non-finite losses {bad}")
+            session.report.rows.append(LoopRecord(
+                loop=loop, enhanced_size=session.pools.enhanced.size,
+                novel_size=session.pools.novel.size,
+                seconds=time.perf_counter() - started, **values))
     return TrainResult(model=session.model, pools=session.pools,
                        report=session.report,
                        state=session.checkpoint_data(config.steps))

@@ -285,6 +285,10 @@ BAD_VALUES = [
      "sigma_family must be finite, got inf"),
     ("gen-data", {"noise_std": float("inf")}, [], None,
      "noise_std must be finite, got inf"),
+    # The lam field is named by its config key and flag, lambda.
+    ("train", {"lambda": -1}, [], None, "lambda must be >= 0, got -1.0"),
+    ("train", {"lambda": float("nan")}, [], None, "lambda must be finite, got nan"),
+    ("train", None, ["--lambda", -2], None, "lambda must be >= 0, got -2.0"),
 ]
 
 # A field of a saved file set to a value of the wrong JSON type, with the
@@ -390,6 +394,18 @@ class TestBadInput:
             monkeypatch.setenv("MKFUSION_SEED", env)
         assert_rejected(tmp_path, capsys, command, command_inputs[command], name,
                         config=config, flags=flags)
+
+    def test_diverging_run_prints_one_line(self, tmp_path, small_data, train_config,
+                                           capsys):
+        """No numpy warning precedes the error that names the loop."""
+        config = json.loads(train_config.read_text())
+        train_config.write_text(json.dumps({**config, "learning_rate": 1e300}))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run("train", "--data", small_data, "--config", train_config,
+                   "--out", out) == 1
+        assert_one_error_line(capsys, "error: training aborted at loop")
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind,where,value,name", BAD_FIELDS,
                              ids=[f"{case[0]}-{'.'.join(map(str, case[1]))}"

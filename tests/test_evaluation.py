@@ -102,6 +102,12 @@ class TestPrototypes:
         for c in semantics:
             np.testing.assert_array_equal(a.prototypes[c], b.prototypes[c])
 
+    def test_non_finite_weight_rejected(self):
+        model = tiny_model()
+        model.generators["genus"].params["w1"].data[0, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            ev.synthesize_prototypes(model, {0: np.ones(4)}, n_syn=2)
+
     def test_n_syn_must_be_positive(self):
         with pytest.raises(ValueError, match="n_syn"):
             ev.synthesize_prototypes(tiny_model(), {0: np.ones(4)}, n_syn=0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mkfusion import model as mdl
 from mkfusion import trainer as tr
 from mkfusion.dataset import (LEVELS, SyntheticSpec, compute_visual_centers,
                               derive_knowledge_datasets, generate_synthetic)
+from mkfusion.trainer import TrainConfig
 
 
 @pytest.fixture(autouse=True)
@@ -25,14 +28,33 @@ def forced_draw(dim, loc1=(), loc2=()):
 
 class TestGeneticDraw:
     def test_sampled_draws_are_valid(self):
+        """``sample`` skips ``__post_init__``; its draws must pass it anyway."""
         rng = np.random.default_rng(0)
         for _ in range(200):
             draw = gn.GeneticDraw.sample(16, rng)
-            assert len(draw.loc1) == int(16 * draw.r1)
-            assert len(draw.loc2) == int(16 * draw.r2)
-            assert len(set(draw.loc1.tolist())) == len(draw.loc1)
-            if len(draw.loc1):
-                assert 0 <= draw.loc1.min() and draw.loc1.max() < 16
+            for locs, rate in ((draw.loc1, draw.r1), (draw.loc2, draw.r2)):
+                assert locs.dtype == np.int64
+                assert len(locs) == int(16 * rate)
+                assert len(set(locs.tolist())) == len(locs)
+                if len(locs):
+                    assert 0 <= locs.min() and locs.max() < 16
+            dataclasses.replace(draw)  # runs the checks
+
+    def test_sample_matches_checked_constructor(self):
+        """Same fields and the same generator state as building each draw
+        through the checked constructor from the same stream."""
+        fast, checked = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(100):
+            draw = gn.GeneticDraw.sample(16, fast)
+            r1, r2 = float(checked.uniform()), float(checked.uniform())
+            expected = gn.GeneticDraw(
+                dim=16, r1=r1, r2=r2,
+                loc1=checked.choice(16, size=int(16 * r1), replace=False),
+                loc2=checked.choice(16, size=int(16 * r2), replace=False))
+            assert (draw.dim, draw.r1, draw.r2) == (expected.dim, expected.r1, expected.r2)
+            np.testing.assert_array_equal(draw.loc1, expected.loc1)
+            np.testing.assert_array_equal(draw.loc2, expected.loc2)
+        assert fast.bit_generator.state == checked.bit_generator.state
 
     def test_invalid_draws_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -209,6 +231,15 @@ class TestStability:
         with pytest.raises(ValueError, match="zero-norm"):
             gn.cosine_rows(np.zeros((1, 3)), np.ones((1, 3)))
 
+    def test_non_finite_weight_rejected(self):
+        """A NaN score would fall through both gates and be discarded silently."""
+        bundle, datasets, centers, model = desk_context(seed=3)
+        model.generators["species"].params["w1"].data[0, 0] = np.inf
+        class_id = datasets["species"].class_ids[0]
+        with pytest.raises(ValueError, match="non-finite"):
+            gn.stability_scores(np.ones(6), model, centers["species"].centers[class_id],
+                                np.random.default_rng(0))
+
     def test_scores_in_unit_interval_and_deterministic(self):
         bundle, datasets, centers, model = desk_context(seed=3)
         species_ds = datasets["species"]
@@ -220,6 +251,62 @@ class TestStability:
         assert d1.shape == (1,)
         assert -1.0 <= d1[0] <= 1.0
         assert d1[0] == d2[0]
+
+
+def flat_reference(pool):
+    """The enhanced pool flattened into a list, key by key in insertion order."""
+    return [(level, class_id, vector)
+            for (level, class_id), vectors in pool.entries.items()
+            for vector in vectors]
+
+
+def assert_index_matches(index, reference):
+    """``index`` holds the same triples as ``reference`` at every position."""
+    assert len(index) == len(reference)
+    for i, (level, class_id, vector) in enumerate(reference):
+        for got in (index[i], index[i - len(reference)]):
+            assert got[:2] == (level, class_id)
+            assert got[2] is vector
+    for i in (len(reference), -len(reference) - 1):
+        with pytest.raises(IndexError):
+            index[i]
+
+
+class TestPoolIndex:
+    def test_matches_flattened_list(self):
+        rng = np.random.default_rng(21)
+        pool = gn.EnhancedPool()
+        keys = [(level, class_id) for level in LEVELS for class_id in range(4)]
+        for n in range(300):
+            level, class_id = keys[int(rng.integers(len(keys)))]
+            pool.add(level, class_id, rng.normal(size=3))
+            if n % 60 == 0:
+                assert_index_matches(pool.flat(), flat_reference(pool))
+        index = pool.flat()
+        assert len(index) == pool.size == 300
+        assert_index_matches(index, flat_reference(pool))
+
+    def test_empty_pool(self):
+        index = gn.EnhancedPool().flat()
+        assert len(index) == 0 and not index and list(index) == []
+        assert_index_matches(index, [])
+
+    def test_matches_after_checkpoint_roundtrip(self, tmp_path):
+        bundle = desk_context()[0]
+        config = TrainConfig(steps=3, n_nfg=0, batch_size=8, noise_dim=4,
+                             gen_hidden=8, disc_hidden=(8, 6), fusion_hidden=5,
+                             offspring_budget=16, kappa1=-0.5, kappa2=-0.9)
+        state = tr.train(config, bundle).state
+        assert len(state.pools.enhanced.entries) > 1
+        path = tmp_path / "run.ckpt"
+        tr.save_checkpoint(str(path), state)
+        restored = tr.restore_checkpoint(str(path)).pools.enhanced
+        assert_index_matches(restored.flat(), flat_reference(restored))
+        assert len(restored.flat()) == restored.size == state.pools.enhanced.size
+        for got, (level, class_id, vector) in zip(restored.flat(),
+                                                  flat_reference(state.pools.enhanced)):
+            assert got[:2] == (level, class_id)
+            np.testing.assert_array_equal(got[2], vector)
 
 
 class TestSelect:

@@ -216,7 +216,6 @@ class TestSchedule:
             if name.startswith("fusion/"):
                 np.testing.assert_array_equal(p.data, fresh.named_params()[name].data)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_loop_index(self):
         config = small_config(steps=3, n_nfg=0, learning_rate=1e200)
         with pytest.raises(RuntimeError, match="at loop"):
