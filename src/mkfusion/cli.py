@@ -8,7 +8,10 @@ import dataclasses
 import datetime
 import json
 import os
+import re
 import sys
+
+import numpy as np
 
 from . import __version__
 from . import evaluation as ev
@@ -18,6 +21,9 @@ from .dataset import (DatasetBundle, SyntheticSpec, atomic_write_text, fits,
                       save_bundle)
 
 SEED_ENV_VAR = "MKFUSION_SEED"
+# The oldest numpy release mkfusion runs on, as in pyproject.toml; older ones
+# lack functions it calls, such as ``np.trapezoid``.
+NUMPY_FLOOR = (2, 0)
 
 # SyntheticSpec field -> gen-data setting, where the two names differ.
 SPEC_SETTINGS = {"genera_per_family": "genera", "species_per_genus": "species",
@@ -270,6 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if tuple(int(n) for n in re.findall(r"\d+", np.__version__)[:2]) < NUMPY_FLOOR:
+        print(f"error: numpy {np.__version__} is not supported: mkfusion needs "
+              f"numpy >= {'.'.join(map(str, NUMPY_FLOOR))}", file=sys.stderr)
+        return 1
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

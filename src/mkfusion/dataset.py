@@ -441,13 +441,15 @@ def read_json_object(path: str, what: str) -> dict:
     return document
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def _atomic_write_chunks(path: str, chunks) -> None:
+    """Write the strings ``chunks`` to a temporary file beside ``path``, then
+    move it over ``path``; on any error ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -455,24 +457,43 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    _atomic_write_chunks(path, (text,))
+
+
+def _array_entry(value) -> dict:
+    """The JSON encoder's hook for values it cannot encode itself: a float64
+    array becomes its ``encode_array`` entry; anything else is a TypeError."""
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        return encode_array(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def atomic_write_json(path: str, document) -> None:
+    """Write ``document``, whose float64 arrays stand as themselves, as the
+    text ``json.dumps`` gives with each array replaced by its
+    ``encode_array`` entry. The text is written chunk by chunk and each array
+    encoded only when the writer reaches it, so the memory held at once is
+    about one array's text, not the whole file."""
+    _atomic_write_chunks(path, json.JSONEncoder(default=_array_entry).iterencode(document))
+
+
 BUNDLE_VERSION = 2
 
 
 def save_bundle(bundle: DatasetBundle, path: str) -> None:
-    document = {
+    atomic_write_json(path, {
         "format_version": BUNDLE_VERSION,
         "dims": {"visual": bundle.visual_dim, "semantic": bundle.semantic_dim},
         "classes": [
             {"species_id": c.species_id, "genus_id": c.genus_id,
-             "family_id": c.family_id, "name": c.name,
-             "semantic": encode_array(c.semantic)}
+             "family_id": c.family_id, "name": c.name, "semantic": c.semantic}
             for c in bundle.classes
         ],
         "samples": {"species_id": bundle.sample_species.tolist(),
-                    "visual": encode_array(bundle.sample_visuals)},
+                    "visual": bundle.sample_visuals},
         "splits": {"seen": bundle.seen_ids, "unseen": bundle.unseen_ids},
-    }
-    atomic_write_text(path, json.dumps(document))
+    })
 
 
 def load_bundle(path: str) -> DatasetBundle:

@@ -3,7 +3,6 @@ schedule, offspring generation and gating, optimizer steps, and checkpoints."""
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -13,9 +12,9 @@ import numpy as np
 from . import autodiff as ad
 from . import genetics as gn
 from . import model as mdl
-from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_text,
+from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_json,
                       check_fields, compute_visual_centers, decode_array,
-                      derive_knowledge_datasets, encode_array, read_json_object)
+                      derive_knowledge_datasets, read_json_object)
 
 Array = np.ndarray
 
@@ -300,14 +299,10 @@ def train(config: TrainConfig, bundle: DatasetBundle,
 
 def save_checkpoint(path: str, state: CheckpointData) -> None:
     rows = (-1, state.model.semantic_dim)
-    pools_doc = {f"enhanced/{level}/{class_id}": encode_array(np.reshape(vectors, rows))
-                 for (level, class_id), vectors in state.pools.enhanced.entries.items()}
-    pools_doc["novel"] = encode_array(np.reshape(state.pools.novel.vectors, rows))
-    adam = {name: {"step_count": s["step_count"],
-                   "m": [encode_array(a) for a in s["m"]],
-                   "v": [encode_array(a) for a in s["v"]]}
-            for name, s in state.adam_states.items()}
-    document = {
+    pools = {f"enhanced/{level}/{class_id}": np.reshape(vectors, rows)
+             for (level, class_id), vectors in state.pools.enhanced.entries.items()}
+    pools["novel"] = np.reshape(state.pools.novel.vectors, rows)
+    atomic_write_json(path, {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(state.config),
         "loop_index": state.loop_index,
@@ -316,12 +311,10 @@ def save_checkpoint(path: str, state: CheckpointData) -> None:
         "dims": {"visual": state.model.visual_dim,
                  "semantic": state.model.semantic_dim,
                  "n_classes": state.model.n_classes},
-        "params": {name: encode_array(p.data)
-                   for name, p in state.model.named_params().items()},
-        "adam": adam,
-        "pools": pools_doc,
-    }
-    atomic_write_text(path, json.dumps(document))
+        "params": {name: p.data for name, p in state.model.named_params().items()},
+        "adam": state.adam_states,
+        "pools": pools,
+    })
 
 
 def _require_count(mapping, name: str, least: int, where: str) -> int:

@@ -3,13 +3,15 @@ import functools
 import hashlib
 import json
 import operator
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from mkfusion import evaluation as ev
 from mkfusion import trainer as tr
-from mkfusion.cli import build_parser, main
+from mkfusion.cli import NUMPY_FLOOR, build_parser, main
 from mkfusion.dataset import BUNDLE_VERSION, decode_array, encode_array, load_bundle
 
 
@@ -351,6 +353,18 @@ class TestBadInput:
                                          command, key):
         assert_rejected(tmp_path, capsys, command, command_inputs[command], key,
                         config={key: 3})
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "retrieve"])
+    def test_unsupported_numpy_rejected(self, tmp_path, command_inputs, capsys,
+                                        monkeypatch, command):
+        monkeypatch.setattr(np, "__version__", "1.26.4")
+        assert_rejected(tmp_path, capsys, command, command_inputs[command],
+                        "numpy 1.26.4 is not supported")
+
+    def test_numpy_floor_matches_pyproject(self):
+        text = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+        floor = re.search(r'"numpy>=(\d+)\.(\d+)"', text)
+        assert tuple(map(int, floor.groups())) == NUMPY_FLOOR
 
     def test_train_config_precedence(self, tmp_path, small_data, monkeypatch):
         def resolved(*flags, **config):

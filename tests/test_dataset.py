@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
+from mkfusion import dataset
 from mkfusion.dataset import (
     BUNDLE_VERSION,
     ClassRecord,
     DatasetBundle,
     LevelDataset,
     SyntheticSpec,
+    atomic_write_json,
     compute_visual_centers,
     decode_array,
     encode_array,
@@ -247,12 +249,36 @@ class TestSynthetic:
         assert type(SyntheticSpec(sigma_family=2).sigma_family) is float
 
 
+def one_shot_bundle_text(bundle):
+    """The dataset file as the one-shot writer made it: ``json.dumps`` of the
+    whole document, with every array already run through ``encode_array``."""
+    return json.dumps({
+        "format_version": BUNDLE_VERSION,
+        "dims": {"visual": bundle.visual_dim, "semantic": bundle.semantic_dim},
+        "classes": [
+            {"species_id": c.species_id, "genus_id": c.genus_id,
+             "family_id": c.family_id, "name": c.name,
+             "semantic": encode_array(c.semantic)}
+            for c in bundle.classes
+        ],
+        "samples": {"species_id": bundle.sample_species.tolist(),
+                    "visual": encode_array(bundle.sample_visuals)},
+        "splits": {"seen": bundle.seen_ids, "unseen": bundle.unseen_ids},
+    })
+
+
 class TestPersistence:
     def test_roundtrip_identity(self, tmp_path):
         bundle = generate_synthetic(SyntheticSpec(visual_dim=7, semantic_dim=5), seed=8)
         path = tmp_path / "bundle.json"
         save_bundle(bundle, str(path))
         assert load_bundle(str(path)) == bundle
+
+    def test_file_matches_one_shot_writer(self, tmp_path):
+        bundle = generate_synthetic(SyntheticSpec(visual_dim=7, semantic_dim=5), seed=8)
+        path = tmp_path / "bundle.json"
+        save_bundle(bundle, str(path))
+        assert path.read_text() == one_shot_bundle_text(bundle)
 
     def test_full_precision_floats_roundtrip(self, tmp_path):
         awkward = np.nextafter(0.1, 1.0)
@@ -338,3 +364,46 @@ class TestPersistence:
     def test_decode_array_rejects(self, entry, message):
         with pytest.raises(ValueError, match=f"^probe: .*{message}"):
             decode_array(entry, "probe", shape=(None,))
+
+
+class TestAtomicWriteJson:
+    @pytest.mark.parametrize("value", [
+        np.int64(3), np.arange(3), np.zeros(2, dtype=np.float32), object(),
+    ], ids=["int64-scalar", "int-array", "float32-array", "object"])
+    def test_unsupported_value_raises_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            atomic_write_json(str(path), {"first": np.zeros(3), "bad": [value]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_error_midway_keeps_existing_target(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.json"
+        path.write_text('{"old": 1}')
+        before = path.read_bytes()
+        written = []
+
+        def fail_second(a):
+            written.append(sum(p.stat().st_size for p in tmp_path.glob("*.tmp")))
+            if len(written) == 2:
+                raise OSError("disk full")
+            return encode_array(a)
+
+        monkeypatch.setattr(dataset, "encode_array", fail_second)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write_json(str(path), {"first": np.zeros(100_000),
+                                          "second": np.zeros(1)})
+        # The first array's text was already in the temporary file.
+        assert written[1] > 8 * 100_000
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_document_matches_json_dumps_of_encoded_arrays(self, tmp_path):
+        arrays = [np.arange(6.0).reshape(2, 3) / 7, np.zeros((0, 4)), np.array(-0.0)]
+        document = {"arrays": arrays, "nested": {"a": arrays[0], "n": [1, 2.5, None]},
+                    "text": "é\n", "flag": True, "inf": float("inf")}
+        path = tmp_path / "out.json"
+        atomic_write_json(str(path), document)
+        encoded = {"arrays": [encode_array(a) for a in arrays],
+                   "nested": {"a": encode_array(arrays[0]), "n": [1, 2.5, None]},
+                   "text": "é\n", "flag": True, "inf": float("inf")}
+        assert path.read_text() == json.dumps(encoded)

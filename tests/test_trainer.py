@@ -1,16 +1,18 @@
 import base64
 import copy
+import dataclasses
 import functools
 import json
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mkfusion import trainer as tr
-from mkfusion.dataset import (DatasetBundle, SyntheticSpec, generate_synthetic, load_bundle,
-                              save_bundle)
+from mkfusion.dataset import (DatasetBundle, SyntheticSpec, encode_array, generate_synthetic,
+                              load_bundle, save_bundle)
 from mkfusion.trainer import TrainConfig
 
 
@@ -40,6 +42,33 @@ def saved_checkpoint(tmp_path):
     path = tmp_path / "run.ckpt"
     tr.save_checkpoint(str(path), pooled_run().state)
     return path, json.loads(path.read_text())
+
+
+def one_shot_checkpoint_text(state):
+    """The checkpoint as the one-shot writer made it: ``json.dumps`` of the
+    whole document, with every array already run through ``encode_array``."""
+    rows = (-1, state.model.semantic_dim)
+    pools_doc = {f"enhanced/{level}/{class_id}": encode_array(np.reshape(vectors, rows))
+                 for (level, class_id), vectors in state.pools.enhanced.entries.items()}
+    pools_doc["novel"] = encode_array(np.reshape(state.pools.novel.vectors, rows))
+    adam = {name: {"step_count": s["step_count"],
+                   "m": [encode_array(a) for a in s["m"]],
+                   "v": [encode_array(a) for a in s["v"]]}
+            for name, s in state.adam_states.items()}
+    return json.dumps({
+        "format_version": tr.CHECKPOINT_VERSION,
+        "config": dataclasses.asdict(state.config),
+        "loop_index": state.loop_index,
+        "rng_state": state.rng_state,
+        "seen_species": state.seen_species,
+        "dims": {"visual": state.model.visual_dim,
+                 "semantic": state.model.semantic_dim,
+                 "n_classes": state.model.n_classes},
+        "params": {name: encode_array(p.data)
+                   for name, p in state.model.named_params().items()},
+        "adam": adam,
+        "pools": pools_doc,
+    })
 
 
 def corrupted(entry, how):
@@ -304,6 +333,23 @@ class TestCheckpoint:
                 np.testing.assert_array_equal(a, b)
         for a, b in zip(result.pools.novel.vectors, restored.pools.novel.vectors):
             np.testing.assert_array_equal(a, b)
+
+    def test_file_matches_one_shot_writer(self, tmp_path):
+        state = pooled_run().state
+        path = tmp_path / "run.ckpt"
+        tr.save_checkpoint(str(path), state)
+        assert path.read_text() == one_shot_checkpoint_text(state)
+
+    def test_save_holds_less_than_the_file(self, tmp_path):
+        state = tr.train(TrainConfig(steps=40), generate_synthetic(SyntheticSpec(), 1)).state
+        path = tmp_path / "run.ckpt"
+        tracemalloc.start()
+        try:
+            tr.save_checkpoint(str(path), state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     def test_split_run_matches_straight_run(self, tmp_path):
         bundle = small_bundle()
