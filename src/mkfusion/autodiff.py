@@ -410,26 +410,6 @@ class AdamState:
             update /= denom
             p.data -= update
 
-    def state_arrays(self) -> dict:
-        """Snapshot of the step counter and copies of the moment arrays."""
-        return {
-            "step_count": self.step_count,
-            "m": [a.copy() for a in self.m],
-            "v": [a.copy() for a in self.v],
-        }
-
-    def load_state_arrays(self, state: dict) -> None:
-        """Restore a ``state_arrays`` snapshot; it must hold one moment array
-        of each parameter's shape per parameter, in order."""
-        shapes = [p.data.shape for p in self.params]
-        for key in ("m", "v"):
-            if [a.shape for a in state[key]] != shapes:
-                raise ValueError(f"adam state: {key} does not hold one array of each "
-                                 f"parameter's shape for {len(shapes)} parameters")
-        self.step_count = state["step_count"]
-        self.m = [a.copy() for a in state["m"]]
-        self.v = [a.copy() for a in state["v"]]
-
 
 def clip_weights(params: Iterable[Tensor], c: float) -> None:
     """Clamp every entry of every parameter into [-c, c] in place."""

@@ -8,7 +8,6 @@ import json
 import math
 import operator
 import os
-import tempfile
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -443,10 +442,12 @@ def read_json_object(path: str, what: str) -> dict:
 
 def _atomic_write_chunks(path: str, chunks) -> None:
     """Write the strings ``chunks`` to a temporary file beside ``path``, then
-    move it over ``path``; on any error ``path`` is left as it was."""
+    move it over ``path``; on any error ``path`` is left as it was. The file
+    gets the mode any new file gets under the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)

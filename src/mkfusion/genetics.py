@@ -9,10 +9,6 @@ pool (kept unlabeled), or discarded.
 
 from __future__ import annotations
 
-import bisect
-import itertools
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,41 +100,13 @@ class EnhancedPool:
     def vectors_for(self, level: str, class_id: int) -> list[Array]:
         return self.entries.get((level, int(class_id)), [])
 
-    def flat(self) -> "PoolIndex":
-        """Every pooled (level, class id, vector), key by key in insertion
-        order, as a sequence indexed without copying the vectors."""
-        return PoolIndex(self.entries)
+    def flat(self) -> list[tuple[tuple[str, int], list[Array]]]:
+        """Each (level, class id) key with its vectors, in insertion order."""
+        return list(self.entries.items())
 
     @property
     def size(self) -> int:
         return sum(len(v) for v in self.entries.values())
-
-
-class PoolIndex(Sequence):
-    """Read-only view of an enhanced pool's entries as one sequence.
-
-    Built in O(keys) from each key's running end; item ``i`` bisects for its
-    key. Keys and vectors added after the view was built are not in it.
-    """
-
-    def __init__(self, entries: dict[tuple[str, int], list[Array]]):
-        self._keys = list(entries)
-        self._vectors = list(entries.values())
-        self._ends = list(itertools.accumulate(map(len, self._vectors)))
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __getitem__(self, i: int) -> tuple[str, int, Array]:
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("pool index out of range")
-        k = bisect.bisect_right(self._ends, i)
-        start = self._ends[k - 1] if k else 0
-        level, class_id = self._keys[k]
-        return level, class_id, self._vectors[k][i - start]
 
 
 @dataclass
@@ -250,14 +218,17 @@ def loss_er(model: FusionGan, pools: Pools,
     drawn uniformly, so genus and family entries get a species label.
     """
     flat = pools.enhanced.flat()
-    if not flat:
+    # Pick i is row i of the key-major concatenation of every key's vectors.
+    starts = np.cumsum([0] + [len(vectors) for _, vectors in flat])
+    total = int(starts[-1])
+    if total == 0:
         return Tensor(0.0)
-    picks = rng.choice(len(flat), size=min(len(flat), batch_size), replace=False)
+    picks = rng.choice(total, size=min(total, batch_size), replace=False)
     rows, labels = [], []
-    for i in picks:
-        level, class_id, vector = flat[int(i)]
-        rows.append(vector)
-        members = species_under[(level, class_id)]
+    for i, k in zip(picks, np.searchsorted(starts, picks, side="right") - 1):
+        key, vectors = flat[k]
+        rows.append(vectors[i - starts[k]])
+        members = species_under[key]
         labels.append(members[int(rng.integers(0, len(members)))])
     t_batch = np.stack(rows)
     z = rng.standard_normal((len(rows), model.noise_dim))

@@ -105,22 +105,37 @@ def build_model(config: TrainConfig, visual_dim: int, semantic_dim: int,
                          fusion_mode=config.fusion_mode)
 
 
-def adam_groups(model: mdl.FusionGan) -> dict[str, list[ad.Tensor]]:
-    """Each optimizer's checkpoint name and the parameters it updates."""
-    return {"discriminator": model.discriminator_params(),
-            "generators": model.generator_params(),
-            "fusion": model.fusion_params()}
+def build_optimizers(model: mdl.FusionGan, lr: float) -> dict[str, ad.AdamState]:
+    """A fresh optimizer per checkpoint name, over the parameters it updates."""
+    return {"discriminator": ad.AdamState(model.discriminator_params(), lr=lr),
+            "generators": ad.AdamState(model.generator_params(), lr=lr),
+            "fusion": ad.AdamState(model.fusion_params(), lr=lr)}
 
 
 @dataclass
 class CheckpointData:
+    """The whole state of a training run: what a checkpoint file holds, and
+    what ``train`` advances in place."""
+
     config: TrainConfig
     model: mdl.FusionGan
     pools: gn.Pools
     loop_index: int
-    rng_state: dict
-    adam_states: dict
+    rng: np.random.Generator
+    optimizers: dict[str, ad.AdamState]
     seen_species: list[int]
+
+
+def initial_state(config: TrainConfig, bundle: DatasetBundle) -> CheckpointData:
+    """The state of a fresh run on ``bundle``'s seen split, before loop 1."""
+    if not bundle.seen_ids:
+        raise ValueError("training requires at least one seen species")
+    model = build_model(config, bundle.visual_dim, bundle.semantic_dim,
+                        len(bundle.seen_ids))
+    return CheckpointData(config=config, model=model, pools=gn.Pools(), loop_index=0,
+                          rng=np.random.default_rng([config.seed, 1]),
+                          optimizers=build_optimizers(model, config.learning_rate),
+                          seen_species=sorted(bundle.seen_ids))
 
 
 @dataclass
@@ -132,54 +147,40 @@ class TrainResult:
 
 
 class _Session:
-    """Mutable state shared by the per-loop steps of one training run."""
+    """The data views shared by the per-loop steps of one training run, and
+    the parts of the run state they advance."""
 
     def __init__(self, config: TrainConfig, bundle: DatasetBundle,
-                 resume: CheckpointData | None):
-        if not bundle.seen_ids:
-            raise ValueError("training requires at least one seen species")
-        self.config = config
+                 state: CheckpointData):
+        if state.seen_species != sorted(bundle.seen_ids):
+            raise ValueError("checkpoint seen classes do not match the bundle")
+        if config.steps < state.loop_index:
+            raise ValueError(f"steps {config.steps} is below the checkpoint's "
+                             f"loop_index {state.loop_index}: a resumed run "
+                             f"cannot go back")
         self.datasets = derive_knowledge_datasets(bundle)
         if len(self.datasets["species"]) == 0:
             raise ValueError("training requires seen samples")
+        self.groups = species_groups(bundle)
+        for level, class_id in state.pools.enhanced.entries:
+            if (level, class_id) not in self.groups:
+                raise ValueError(f"checkpoint pool enhanced/{level}/{class_id}: "
+                                 f"the bundle has no seen {level} {class_id}")
         self.centers = {level: compute_visual_centers(self.datasets[level])
                         for level in LEVELS}
-        self.label_index = seen_label_index(bundle)
-        self.groups = species_groups(bundle)
-        self.dense_labels = np.asarray([self.label_index[int(s)]
+        label_index = seen_label_index(bundle)
+        self.dense_labels = np.asarray([label_index[int(s)]
                                         for s in self.datasets["species"].labels],
                                        dtype=np.int64)
         self.semantic_dim = bundle.semantic_dim
 
-        if resume is not None:
-            if resume.seen_species != sorted(bundle.seen_ids):
-                raise ValueError("checkpoint seen classes do not match the bundle")
-            if config.steps < resume.loop_index:
-                raise ValueError(f"steps {config.steps} is below the checkpoint's "
-                                 f"loop_index {resume.loop_index}: a resumed run "
-                                 f"cannot go back")
-            for level, class_id in resume.pools.enhanced.entries:
-                if (level, class_id) not in self.groups:
-                    raise ValueError(f"checkpoint pool enhanced/{level}/{class_id}: "
-                                     f"the bundle has no seen {level} {class_id}")
-            self.model = resume.model
-            self.pools = resume.pools
-            self.rng = np.random.default_rng()
-            self.rng.bit_generator.state = resume.rng_state
-            self.first_loop = resume.loop_index + 1
-        else:
-            self.model = build_model(config, bundle.visual_dim, bundle.semantic_dim,
-                                     len(bundle.seen_ids))
-            self.pools = gn.Pools()
-            self.rng = np.random.default_rng([config.seed, 1])
-            self.first_loop = 1
-
-        self.optimizers = {name: ad.AdamState(params, lr=config.learning_rate)
-                           for name, params in adam_groups(self.model).items()}
-        self.opt_d, self.opt_g, self.opt_f = self.optimizers.values()
-        if resume is not None:
-            for name, opt in self.optimizers.items():
-                opt.load_state_arrays(resume.adam_states[name])
+        state.config = config
+        for opt in state.optimizers.values():
+            opt.lr = config.learning_rate
+        self.config, self.model, self.pools, self.rng = (config, state.model,
+                                                         state.pools, state.rng)
+        self.opt_d, self.opt_g, self.opt_f = (
+            state.optimizers[name] for name in ("discriminator", "generators", "fusion"))
         self.report = TrainReport(d_updates=self.opt_d.step_count)
 
     def run_nfg_phase(self) -> None:
@@ -248,13 +249,6 @@ class _Session:
         ad.clear_graph()
         return values
 
-    def checkpoint_data(self, loop_index: int) -> CheckpointData:
-        return CheckpointData(
-            config=self.config, model=self.model, pools=self.pools,
-            loop_index=loop_index, rng_state=self.rng.bit_generator.state,
-            adam_states={name: opt.state_arrays() for name, opt in self.optimizers.items()},
-            seen_species=sorted(self.label_index))
-
 
 def train(config: TrainConfig, bundle: DatasetBundle,
           resume: CheckpointData | None = None) -> TrainResult:
@@ -267,10 +261,17 @@ def train(config: TrainConfig, bundle: DatasetBundle,
     or stability score aborts the run with the offending loop index; numpy's
     floating-point warnings are silenced in the loop, so that error is all a
     diverging run reports.
+
+    A fresh run starts from ``initial_state``. A run given ``resume`` goes on
+    from that state's ``loop_index`` and advances that object in place,
+    ``config`` included, and returns it as ``result.state``; to resume from
+    the same checkpoint twice, restore it twice. After an aborted run the
+    state holds part of the failed loop's updates.
     """
-    session = _Session(config, bundle, resume)
+    state = initial_state(config, bundle) if resume is None else resume
+    session = _Session(config, bundle, state)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for loop in range(session.first_loop, config.steps + 1):
+        for loop in range(state.loop_index + 1, config.steps + 1):
             started = time.perf_counter()
             try:
                 if loop > config.n_nfg:
@@ -284,13 +285,13 @@ def train(config: TrainConfig, bundle: DatasetBundle,
             if bad:
                 raise RuntimeError(f"training aborted at loop {loop}: "
                                    f"non-finite losses {bad}")
+            state.loop_index = loop
             session.report.rows.append(LoopRecord(
-                loop=loop, enhanced_size=session.pools.enhanced.size,
-                novel_size=session.pools.novel.size,
+                loop=loop, enhanced_size=state.pools.enhanced.size,
+                novel_size=state.pools.novel.size,
                 seconds=time.perf_counter() - started, **values))
-    return TrainResult(model=session.model, pools=session.pools,
-                       report=session.report,
-                       state=session.checkpoint_data(config.steps))
+    return TrainResult(model=state.model, pools=state.pools, report=session.report,
+                       state=state)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +307,14 @@ def save_checkpoint(path: str, state: CheckpointData) -> None:
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(state.config),
         "loop_index": state.loop_index,
-        "rng_state": state.rng_state,
+        "rng_state": state.rng.bit_generator.state,
         "seen_species": state.seen_species,
         "dims": {"visual": state.model.visual_dim,
                  "semantic": state.model.semantic_dim,
                  "n_classes": state.model.n_classes},
         "params": {name: p.data for name, p in state.model.named_params().items()},
-        "adam": state.adam_states,
+        "adam": {name: {"step_count": opt.step_count, "m": opt.m, "v": opt.v}
+                 for name, opt in state.optimizers.items()},
         "pools": pools,
     })
 
@@ -348,8 +350,13 @@ def restore_checkpoint(path: str) -> CheckpointData:
     except ValueError as err:
         raise ValueError(f"checkpoint {path} config: {err}") from None
     dims = _require_field(document, "dims", dict)
-    model = build_model(config, *(_require_count(dims, name, 1, f"dims/{name}")
-                                  for name in ("visual", "semantic", "n_classes")))
+    visual, semantic, n_classes = (_require_count(dims, name, 1, f"dims/{name}")
+                                   for name in ("visual", "semantic", "n_classes"))
+    seen_species = _require_field(document, "seen_species", list[int])
+    if n_classes != len(seen_species):
+        raise ValueError(f"checkpoint dims/n_classes is {n_classes}, but "
+                         f"seen_species lists {len(seen_species)} species")
+    model = build_model(config, visual, semantic, n_classes)
     params = model.named_params()
     stored = _require_field(document, "params", dict)
     if set(stored) != set(params):
@@ -357,19 +364,18 @@ def restore_checkpoint(path: str) -> CheckpointData:
     for name, p in params.items():
         p.data = decode_array(stored[name], f"params/{name}", p.shape)
     adam_doc = _require_field(document, "adam", dict)
-    adam_states = {}
-    for group, group_params in adam_groups(model).items():
+    optimizers = build_optimizers(model, config.learning_rate)
+    for group, opt in optimizers.items():
         state = _require_field(adam_doc, group, dict)
-        adam_states[group] = {"step_count": _require_count(
-            state, "step_count", 0, f"adam/{group}/step_count")}
+        opt.step_count = _require_count(state, "step_count", 0,
+                                        f"adam/{group}/step_count")
         for key in ("m", "v"):
             entries = _require_field(state, key, list)
-            if len(entries) != len(group_params):
+            if len(entries) != len(opt.params):
                 raise ValueError(f"adam/{group}/{key}: {len(entries)} arrays for "
-                                 f"{len(group_params)} parameters")
-            adam_states[group][key] = [
-                decode_array(entry, f"adam/{group}/{key}[{i}]", p.shape)
-                for i, (entry, p) in enumerate(zip(entries, group_params))]
+                                 f"{len(opt.params)} parameters")
+            setattr(opt, key, [decode_array(entry, f"adam/{group}/{key}[{i}]", p.shape)
+                               for i, (entry, p) in enumerate(zip(entries, opt.params))])
     pools_doc = _require_field(document, "pools", dict)
     rows = (None, model.semantic_dim)
     pools = gn.Pools()
@@ -383,12 +389,12 @@ def restore_checkpoint(path: str) -> CheckpointData:
         elif key != "novel":
             raise ValueError(f"unknown pool key in checkpoint: {key!r}")
     rng_state = _require_field(document, "rng_state", dict)
+    rng = np.random.default_rng()
     try:
-        np.random.PCG64().state = rng_state
+        rng.bit_generator.state = rng_state
     except (TypeError, ValueError, KeyError) as err:
         raise ValueError(f"checkpoint rng_state: {err!r}") from None
     return CheckpointData(config=config, model=model, pools=pools,
                           loop_index=_require_count(document, "loop_index", 0,
                                                     "loop_index"),
-                          rng_state=rng_state, adam_states=adam_states,
-                          seen_species=_require_field(document, "seen_species", list[int]))
+                          rng=rng, optimizers=optimizers, seen_species=seen_species)

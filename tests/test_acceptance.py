@@ -228,6 +228,7 @@ class TestCriterion4MetricOracles:
 
 
 class TestCriterion5EndToEnd:
+    @pytest.mark.slow
     def test_desk_scale_gzsl_quality(self):
         started = time.perf_counter()
         bundle = generate_synthetic(SyntheticSpec(), seed=1)
@@ -251,6 +252,7 @@ class TestCriterion5EndToEnd:
 
 
 class TestCriterion6AblationTrend:
+    @pytest.mark.slow
     def test_variant_ordering_over_five_seeds(self):
         bundle = generate_synthetic(SyntheticSpec(), seed=1)
         variants = {

@@ -149,7 +149,8 @@ class TestTrain:
         b = tr.restore_checkpoint(str(resumed / "checkpoint.json"))
         for name, p in a.model.named_params().items():
             np.testing.assert_array_equal(p.data, b.model.named_params()[name].data)
-        assert a.rng_state == b.rng_state
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert file_hash(straight / "checkpoint.json") == file_hash(resumed / "checkpoint.json")
 
 
 class TestEval:
@@ -469,6 +470,34 @@ class TestBadInput:
                    "--resume", checkpoint, "--steps", 3) == 1
         assert_one_error_line(capsys, "enhanced/species/999")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_class_count_must_match_seen_species(self, tmp_path, small_data, trained,
+                                                 capsys, command):
+        """A class head three rows wider than the seen split, with every array
+        that holds a class row padded to match, is still rejected."""
+        document = json.loads((trained / "checkpoint.json").read_text())
+        n_classes = document["dims"]["n_classes"]
+        assert n_classes == len(document["seen_species"])
+        document["dims"]["n_classes"] = n_classes + 3
+
+        def padded(entry):
+            a = decode_array(entry, "array")
+            return encode_array(np.concatenate([a, np.zeros((*a.shape[:-1], 3))], -1))
+
+        adam = document["adam"]["discriminator"]
+        critic = [name for name in document["params"] if name.startswith("discriminator/")]
+        for i, name in enumerate(critic):
+            if name.endswith("_cls"):
+                document["params"][name] = padded(document["params"][name])
+                for key in ("m", "v"):
+                    adam[key][i] = padded(adam[key][i])
+        bad = tmp_path / "bad-checkpoint.json"
+        bad.write_text(json.dumps(document))
+        inputs = (["--resume", bad, "--steps", 3] if command == "train"
+                  else ["--checkpoint", bad])
+        assert_rejected(tmp_path, capsys, command, ["--data", small_data, *inputs],
+                        "dims/n_classes")
 
     def test_resume_rejects_steps_below_checkpoint_loop(self, tmp_path, small_data,
                                                          trained, capsys):

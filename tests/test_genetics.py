@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -260,38 +261,75 @@ def flat_reference(pool):
             for vector in vectors]
 
 
-def assert_index_matches(index, reference):
-    """``index`` holds the same triples as ``reference`` at every position."""
-    assert len(index) == len(reference)
-    for i, (level, class_id, vector) in enumerate(reference):
-        for got in (index[i], index[i - len(reference)]):
-            assert got[:2] == (level, class_id)
-            assert got[2] is vector
-    for i in (len(reference), -len(reference) - 1):
-        with pytest.raises(IndexError):
-            index[i]
+def replay_loss_er(reference, species_under, seed, batch_size, noise_dim):
+    """The rows, labels and noise ``loss_er`` must hand to ``enhanced_terms``:
+    its draws replayed with pick ``i`` read as ``reference[i]``."""
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(len(reference), size=min(len(reference), batch_size),
+                       replace=False)
+    rows, labels = [], []
+    for i in picks:
+        level, class_id, vector = reference[int(i)]
+        rows.append(vector)
+        members = species_under[(level, class_id)]
+        labels.append(members[int(rng.integers(0, len(members)))])
+    return np.stack(rows), labels, rng.standard_normal((len(rows), noise_dim))
+
+
+def captured_loss_er(monkeypatch, pools, species_under, seed, batch_size, noise_dim):
+    """The (rows, labels, noise) ``loss_er`` passes to ``enhanced_terms``."""
+    seen = []
+
+    def enhanced_terms(model, t_batch, labels, z):
+        seen.append((t_batch, labels, z))
+        return ad.Tensor(0.0)
+
+    monkeypatch.setattr(gn, "enhanced_terms", enhanced_terms)
+    model = types.SimpleNamespace(noise_dim=noise_dim)
+    gn.loss_er(model, pools, species_under, np.random.default_rng(seed), batch_size)
+    assert len(seen) == 1
+    return seen[0]
 
 
 class TestPoolIndex:
-    def test_matches_flattened_list(self):
+    """How ``loss_er`` maps a drawn index to one pooled vector and its key."""
+
+    def test_matches_flattened_list(self, monkeypatch):
         rng = np.random.default_rng(21)
-        pool = gn.EnhancedPool()
+        pools = gn.Pools()
         keys = [(level, class_id) for level in LEVELS for class_id in range(4)]
-        for n in range(300):
+        # Keys with 1..12 member labels, so the label draw depends on the key.
+        species_under = {key: list(range(10 * n, 11 * n + 1))
+                         for n, key in enumerate(keys)}
+        # A key with no vectors, as a restored checkpoint may hold, is skipped.
+        pools.enhanced.entries[("genus", 99)] = []
+        species_under[("genus", 99)] = [0]
+        for n in range(1, 301):
             level, class_id = keys[int(rng.integers(len(keys)))]
-            pool.add(level, class_id, rng.normal(size=3))
-            if n % 60 == 0:
-                assert_index_matches(pool.flat(), flat_reference(pool))
-        index = pool.flat()
-        assert len(index) == pool.size == 300
-        assert_index_matches(index, flat_reference(pool))
+            pools.enhanced.add(level, class_id, rng.normal(size=3))
+            if n % 25 == 0:
+                # A batch as large as the pool draws every index, key starts too.
+                for batch_size in (8, n):
+                    got = captured_loss_er(monkeypatch, pools, species_under, n,
+                                           batch_size, 2)
+                    expected = replay_loss_er(flat_reference(pools.enhanced),
+                                              species_under, n, batch_size, 2)
+                    assert got[0].tobytes() == expected[0].tobytes()
+                    assert got[1].tolist() == expected[1]
+                    assert got[2].tobytes() == expected[2].tobytes()
+        assert pools.enhanced.size == 300
+        assert len(pools.enhanced.entries) == len(keys) + 1
 
     def test_empty_pool(self):
-        index = gn.EnhancedPool().flat()
-        assert len(index) == 0 and not index and list(index) == []
-        assert_index_matches(index, [])
+        assert gn.EnhancedPool().flat() == []
+        model = types.SimpleNamespace(noise_dim=2)
+        for pools in (gn.Pools(), gn.Pools(gn.EnhancedPool({("species", 0): []}))):
+            rng = np.random.default_rng(4)
+            before = rng.bit_generator.state
+            assert gn.loss_er(model, pools, {("species", 0): [0]}, rng, 8).item() == 0.0
+            assert rng.bit_generator.state == before
 
-    def test_matches_after_checkpoint_roundtrip(self, tmp_path):
+    def test_matches_after_checkpoint_roundtrip(self, tmp_path, monkeypatch):
         bundle = desk_context()[0]
         config = TrainConfig(steps=3, n_nfg=0, batch_size=8, noise_dim=4,
                              gen_hidden=8, disc_hidden=(8, 6), fusion_hidden=5,
@@ -300,13 +338,15 @@ class TestPoolIndex:
         assert len(state.pools.enhanced.entries) > 1
         path = tmp_path / "run.ckpt"
         tr.save_checkpoint(str(path), state)
-        restored = tr.restore_checkpoint(str(path)).pools.enhanced
-        assert_index_matches(restored.flat(), flat_reference(restored))
-        assert len(restored.flat()) == restored.size == state.pools.enhanced.size
-        for got, (level, class_id, vector) in zip(restored.flat(),
-                                                  flat_reference(state.pools.enhanced)):
-            assert got[:2] == (level, class_id)
-            np.testing.assert_array_equal(got[2], vector)
+        restored = tr.restore_checkpoint(str(path)).pools
+        size = state.pools.enhanced.size
+        assert restored.enhanced.size == size
+        species_under = tr.species_groups(bundle)
+        got, expected = (captured_loss_er(monkeypatch, pools, species_under, 5, size, 4)
+                         for pools in (restored, state.pools))
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tolist() == expected[1].tolist()
+        assert got[2].tobytes() == expected[2].tobytes()
 
 
 class TestSelect:

@@ -4,7 +4,9 @@ import dataclasses
 import functools
 import json
 import operator
+import os
 import re
+import stat
 import tracemalloc
 
 import numpy as np
@@ -51,15 +53,15 @@ def one_shot_checkpoint_text(state):
     pools_doc = {f"enhanced/{level}/{class_id}": encode_array(np.reshape(vectors, rows))
                  for (level, class_id), vectors in state.pools.enhanced.entries.items()}
     pools_doc["novel"] = encode_array(np.reshape(state.pools.novel.vectors, rows))
-    adam = {name: {"step_count": s["step_count"],
-                   "m": [encode_array(a) for a in s["m"]],
-                   "v": [encode_array(a) for a in s["v"]]}
-            for name, s in state.adam_states.items()}
+    adam = {name: {"step_count": opt.step_count,
+                   "m": [encode_array(a) for a in opt.m],
+                   "v": [encode_array(a) for a in opt.v]}
+            for name, opt in state.optimizers.items()}
     return json.dumps({
         "format_version": tr.CHECKPOINT_VERSION,
         "config": dataclasses.asdict(state.config),
         "loop_index": state.loop_index,
-        "rng_state": state.rng_state,
+        "rng_state": state.rng.bit_generator.state,
         "seen_species": state.seen_species,
         "dims": {"visual": state.model.visual_dim,
                  "semantic": state.model.semantic_dim,
@@ -99,6 +101,24 @@ def assert_each_corruption_named(document, path, load, entries):
             with pytest.raises(ValueError, match=re.escape(name)):
                 load(str(path))
         parent[where[-1]] = original
+
+
+def assert_resumed_matches(straight: tr.TrainResult, resumed: tr.TrainResult):
+    """``resumed`` ends with the parameters, RNG and optimizer state of
+    ``straight`` bit for bit, and reports its last loops' rows but for
+    ``seconds``."""
+    a, b = straight.state, resumed.state
+    assert a.loop_index == b.loop_index
+    for name, p in a.model.named_params().items():
+        assert p.data.tobytes() == b.model.named_params()[name].data.tobytes()
+    assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    for name, opt in a.optimizers.items():
+        assert opt.step_count == b.optimizers[name].step_count
+        for x, y in zip(opt.m + opt.v, b.optimizers[name].m + b.optimizers[name].v):
+            assert x.tobytes() == y.tobytes()
+    first = resumed.report.rows[0].loop
+    assert ([dataclasses.astuple(r)[:-1] for r in resumed.report.rows]
+            == [dataclasses.astuple(r)[:-1] for r in straight.report.rows[first - 1:]])
 
 
 def csv_without_seconds(report: tr.TrainReport) -> str:
@@ -314,14 +334,19 @@ class TestCheckpoint:
             np.testing.assert_array_equal(p.data, restored.model.named_params()[name].data)
             assert restored.model.named_params()[name].data.flags.writeable
         assert restored.loop_index == 3
-        assert restored.rng_state == result.state.rng_state
-        assert list(restored.adam_states) == list(result.state.adam_states)
-        for name, state in result.state.adam_states.items():
-            stored = restored.adam_states[name]
-            assert stored["step_count"] == state["step_count"] > 0
+        assert restored.rng.bit_generator.state == result.state.rng.bit_generator.state
+        groups = {"discriminator": restored.model.discriminator_params(),
+                  "generators": restored.model.generator_params(),
+                  "fusion": restored.model.fusion_params()}
+        assert list(restored.optimizers) == list(result.state.optimizers) == list(groups)
+        for name, opt in result.state.optimizers.items():
+            stored = restored.optimizers[name]
+            assert stored.step_count == opt.step_count > 0
+            assert stored.lr == opt.lr
+            assert all(p is q for p, q in zip(stored.params, groups[name], strict=True))
             for key in ("m", "v"):
-                assert len(stored[key]) == len(state[key])
-                for a, b in zip(state[key], stored[key]):
+                assert len(getattr(stored, key)) == len(getattr(opt, key))
+                for a, b in zip(getattr(opt, key), getattr(stored, key)):
                     np.testing.assert_array_equal(a, b)
                     assert b.flags.writeable
         assert list(restored.pools.enhanced.entries) == list(result.pools.enhanced.entries)
@@ -340,6 +365,7 @@ class TestCheckpoint:
         tr.save_checkpoint(str(path), state)
         assert path.read_text() == one_shot_checkpoint_text(state)
 
+    @pytest.mark.slow
     def test_save_holds_less_than_the_file(self, tmp_path):
         state = tr.train(TrainConfig(steps=40), generate_synthetic(SyntheticSpec(), 1)).state
         path = tmp_path / "run.ckpt"
@@ -360,17 +386,32 @@ class TestCheckpoint:
         tr.save_checkpoint(str(path), first.state)
         restored = tr.restore_checkpoint(str(path))
         resumed = tr.train(small_config(steps=6, n_nfg=2), bundle, resume=restored)
-
-        for name, p in straight.model.named_params().items():
-            np.testing.assert_allclose(
-                p.data, resumed.model.named_params()[name].data, atol=1e-9, rtol=0)
         assert [r.loop for r in resumed.report.rows] == [4, 5, 6]
-        straight_tail = [r for r in straight.report.rows if r.loop >= 4]
-        for a, b in zip(straight_tail, resumed.report.rows):
-            assert a.l_d == b.l_d
-            assert a.l_fm == b.l_fm
-            assert a.enhanced_size == b.enhanced_size
-            assert a.novel_size == b.novel_size
+        assert_resumed_matches(straight, resumed)
+
+    def test_in_memory_resume_advances_the_given_state(self):
+        bundle = small_bundle()
+        straight = tr.train(small_config(steps=6, n_nfg=2), bundle)
+
+        first = tr.train(small_config(steps=3, n_nfg=2), bundle)
+        resumed = tr.train(small_config(steps=6, n_nfg=2), bundle, resume=first.state)
+        assert resumed.state is first.state
+        assert first.state.loop_index == 6 and first.state.config.steps == 6
+        assert [r.loop for r in resumed.report.rows] == [4, 5, 6]
+        assert_resumed_matches(straight, resumed)
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_files_follow_the_umask(self, tmp_path, umask, mode):
+        state = tr.train(small_config(steps=1), small_bundle()).state
+        previous = os.umask(umask)
+        try:
+            save_bundle(small_bundle(), str(tmp_path / "data.json"))
+            tr.save_checkpoint(str(tmp_path / "run.ckpt"), state)
+        finally:
+            os.umask(previous)
+        assert sorted((p.name, stat.S_IMODE(p.stat().st_mode))
+                      for p in tmp_path.iterdir()) == [("data.json", mode),
+                                                       ("run.ckpt", mode)]
 
     def test_saved_files_hold_no_float_lists(self, tmp_path):
         def float_lists(node, where="$"):
