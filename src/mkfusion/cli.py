@@ -16,9 +16,8 @@ import numpy as np
 from . import __version__
 from . import evaluation as ev
 from . import trainer as tr
-from .dataset import (DatasetBundle, SyntheticSpec, atomic_write_text, fits,
-                      generate_synthetic, load_bundle, read_json_object,
-                      save_bundle)
+from .dataset import (SyntheticSpec, atomic_write_text, fits, generate_synthetic,
+                      load_bundle, read_json_object, save_bundle)
 
 SEED_ENV_VAR = "MKFUSION_SEED"
 # The oldest numpy release mkfusion runs on, as in pyproject.toml; older ones
@@ -107,20 +106,6 @@ def write_manifest(path: str, command: str, config: dict, seed,
     atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _load_bundle_for_checkpoint(data_path: str,
-                                state: tr.CheckpointData) -> DatasetBundle:
-    bundle = load_bundle(data_path)
-    if (bundle.visual_dim != state.model.visual_dim
-            or bundle.semantic_dim != state.model.semantic_dim):
-        raise ValueError(
-            f"checkpoint/data dim mismatch: checkpoint expects visual "
-            f"{state.model.visual_dim} semantic {state.model.semantic_dim}, "
-            f"dataset has visual {bundle.visual_dim} semantic {bundle.semantic_dim}")
-    if sorted(bundle.seen_ids) != state.seen_species:
-        raise ValueError("checkpoint/data mismatch: seen classes differ")
-    return bundle
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -181,7 +166,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if mode not in ("zsl", "gzsl"):
         raise ValueError(f"unknown eval mode: {mode!r}")
     state = tr.restore_checkpoint(args.checkpoint)
-    bundle = _load_bundle_for_checkpoint(args.data, state)
+    bundle = load_bundle(args.data)
+    tr.check_bundle(state, bundle)
     os.makedirs(args.out, exist_ok=True)
     seed = state.config.seed
     outputs = {}
@@ -217,7 +203,8 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     settings = _settings(args)
     k, n_syn = settings["k"], settings["n_syn"]
     state = tr.restore_checkpoint(args.checkpoint)
-    bundle = _load_bundle_for_checkpoint(args.data, state)
+    bundle = load_bundle(args.data)
+    tr.check_bundle(state, bundle)
     class_id = args.class_id
     if class_id not in bundle.by_species:
         raise ValueError(f"unknown class id: {class_id}")

@@ -215,21 +215,6 @@ class LevelDataset:
         return {c: np.flatnonzero(self.labels == c) for c in self.class_ids}
 
 
-@dataclass
-class LevelCenters:
-    """Per-class mean visual vector at one hierarchy level."""
-
-    level: str
-    centers: dict[int, Array]
-
-    def rows_for(self, labels: Array) -> Array:
-        """Stack the centers matching each label into a matrix."""
-        missing = [int(c) for c in np.unique(labels) if int(c) not in self.centers]
-        if missing:
-            raise KeyError(f"no {self.level} center for class ids {missing}")
-        return np.stack([self.centers[int(c)] for c in labels])
-
-
 def derive_knowledge_datasets(bundle: DatasetBundle) -> dict[str, LevelDataset]:
     """Build the three level-relabeled datasets over the seen samples.
 
@@ -251,13 +236,10 @@ def derive_knowledge_datasets(bundle: DatasetBundle) -> dict[str, LevelDataset]:
     return out
 
 
-def compute_visual_centers(ds: LevelDataset) -> LevelCenters:
-    centers = {}
-    for class_id, idx in ds.indices_by_class.items():
-        if len(idx) == 0:
-            raise ValueError(f"class {class_id} has no samples at level {ds.level}")
-        centers[class_id] = ds.visuals[idx].mean(axis=0)
-    return LevelCenters(level=ds.level, centers=centers)
+def compute_visual_centers(ds: LevelDataset) -> dict[int, Array]:
+    """The mean visual vector of each class at ``ds``'s level, by class id."""
+    return {class_id: ds.visuals[idx].mean(axis=0)
+            for class_id, idx in ds.indices_by_class.items()}
 
 
 # ---------------------------------------------------------------------------

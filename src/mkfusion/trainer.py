@@ -46,6 +46,8 @@ class TrainConfig:
             raise ValueError("kappa1 must exceed kappa2")
         if self.fusion_mode not in mdl.FUSION_MODES:
             raise ValueError(f"unknown fusion mode: {self.fusion_mode!r}")
+        if self.offspring_budget % 2:
+            raise ValueError(f"offspring_budget must be even, got {self.offspring_budget}")
 
 
 @dataclass
@@ -68,8 +70,8 @@ REPORT_COLUMNS = tuple(f.name for f in fields(LoopRecord))
 
 @dataclass
 class TrainReport:
-    rows: list[LoopRecord] = field(default_factory=list)
-    d_updates: int = 0
+    rows: list[LoopRecord]
+    d_updates: int
 
     def to_csv(self) -> str:
         lines = [",".join(REPORT_COLUMNS)]
@@ -77,16 +79,11 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def seen_label_index(bundle: DatasetBundle) -> dict[int, int]:
-    """Dense class-head index for each seen species id, in sorted id order."""
-    return {sid: i for i, sid in enumerate(sorted(bundle.seen_ids))}
-
-
 def species_groups(bundle: DatasetBundle) -> dict[tuple[str, int], list[int]]:
-    """The class-head labels (``seen_label_index``) of the seen species grouped
-    under every (level, class id) key, in species-id order."""
+    """The class-head labels (indices into the sorted ``bundle.seen_ids``) of the
+    seen species grouped under every (level, class id) key, in species-id order."""
     groups: dict[tuple[str, int], list[int]] = {}
-    for label, sid in enumerate(sorted(bundle.seen_ids)):
+    for label, sid in enumerate(bundle.seen_ids):
         record = bundle.by_species[sid]
         for level in LEVELS:
             groups.setdefault((level, record.level_id(level)), []).append(label)
@@ -138,6 +135,24 @@ def initial_state(config: TrainConfig, bundle: DatasetBundle) -> CheckpointData:
                           seen_species=sorted(bundle.seen_ids))
 
 
+def check_bundle(state: CheckpointData, bundle: DatasetBundle) -> None:
+    """Raise ``ValueError`` unless ``bundle`` fits ``state``: the same visual
+    and semantic widths, the same seen species, and a seen class for every
+    enhanced-pool key."""
+    model = state.model
+    if (bundle.visual_dim, bundle.semantic_dim) != (model.visual_dim, model.semantic_dim):
+        raise ValueError(f"checkpoint/data dim mismatch: checkpoint expects visual "
+                         f"{model.visual_dim} semantic {model.semantic_dim}, dataset "
+                         f"has visual {bundle.visual_dim} semantic {bundle.semantic_dim}")
+    if bundle.seen_ids != state.seen_species:
+        raise ValueError("checkpoint/data mismatch: seen classes differ")
+    groups = species_groups(bundle)
+    for level, class_id in state.pools.enhanced.entries:
+        if (level, class_id) not in groups:
+            raise ValueError(f"checkpoint pool enhanced/{level}/{class_id}: "
+                             f"the bundle has no seen {level} {class_id}")
+
+
 @dataclass
 class TrainResult:
     model: mdl.FusionGan
@@ -147,41 +162,24 @@ class TrainResult:
 
 
 class _Session:
-    """The data views shared by the per-loop steps of one training run, and
-    the parts of the run state they advance."""
+    """The data views shared by the per-loop steps of one training run on
+    ``bundle``, and the parts of ``state`` they advance under ``state.config``;
+    ``train`` has checked that the two fit."""
 
-    def __init__(self, config: TrainConfig, bundle: DatasetBundle,
-                 state: CheckpointData):
-        if state.seen_species != sorted(bundle.seen_ids):
-            raise ValueError("checkpoint seen classes do not match the bundle")
-        if config.steps < state.loop_index:
-            raise ValueError(f"steps {config.steps} is below the checkpoint's "
-                             f"loop_index {state.loop_index}: a resumed run "
-                             f"cannot go back")
+    def __init__(self, bundle: DatasetBundle, state: CheckpointData):
         self.datasets = derive_knowledge_datasets(bundle)
         if len(self.datasets["species"]) == 0:
             raise ValueError("training requires seen samples")
         self.groups = species_groups(bundle)
-        for level, class_id in state.pools.enhanced.entries:
-            if (level, class_id) not in self.groups:
-                raise ValueError(f"checkpoint pool enhanced/{level}/{class_id}: "
-                                 f"the bundle has no seen {level} {class_id}")
         self.centers = {level: compute_visual_centers(self.datasets[level])
                         for level in LEVELS}
-        label_index = seen_label_index(bundle)
-        self.dense_labels = np.asarray([label_index[int(s)]
-                                        for s in self.datasets["species"].labels],
-                                       dtype=np.int64)
+        self.dense_labels = np.searchsorted(bundle.seen_ids,
+                                            self.datasets["species"].labels)
         self.semantic_dim = bundle.semantic_dim
-
-        state.config = config
-        for opt in state.optimizers.values():
-            opt.lr = config.learning_rate
-        self.config, self.model, self.pools, self.rng = (config, state.model,
+        self.config, self.model, self.pools, self.rng = (state.config, state.model,
                                                          state.pools, state.rng)
         self.opt_d, self.opt_g, self.opt_f = (
             state.optimizers[name] for name in ("discriminator", "generators", "fusion"))
-        self.report = TrainReport(d_updates=self.opt_d.step_count)
 
     def run_nfg_phase(self) -> None:
         config, rng = self.config, self.rng
@@ -194,7 +192,7 @@ class _Session:
             draw = gn.GeneticDraw.sample(self.semantic_dim, rng)
             offspring.append(gn.mutate(t_a, rng, draw))
             offspring.append(gn.crossover(t_a, t_b, rng, draw))
-            center = self.centers[level].centers[class_id]
+            center = self.centers[level][class_id]
             center_rows.extend([center, center])
             origins.extend([(level, class_id)] * 2)
         scores = gn.stability_scores(np.stack(offspring), self.model,
@@ -220,7 +218,6 @@ class _Session:
         self.opt_d.step(ad.backward(loss, wrt=self.opt_d.params))
         ad.clip_weights(self.model.discriminator.critic_params(), config.clip_c)
         ad.clear_graph()
-        self.report.d_updates += 1
         return loss.item()
 
     def generator_fusion_step(self) -> dict[str, float]:
@@ -230,7 +227,8 @@ class _Session:
         features, fused, _ = self.model.generate_fused(t_batch, z)
         gen_losses = {}
         for level in LEVELS:
-            rows = self.centers[level].rows_for(self.datasets[level].labels[idx])
+            labels = self.datasets[level].labels[idx].tolist()
+            rows = np.stack([self.centers[level][c] for c in labels])
             gen_losses[level] = mdl.loss_generator(self.model.discriminator,
                                                    features[level], batch_labels, rows)
         total_gen = ad.add(ad.add(gen_losses[LEVELS[0]], gen_losses[LEVELS[1]]),
@@ -263,13 +261,27 @@ def train(config: TrainConfig, bundle: DatasetBundle,
     diverging run reports.
 
     A fresh run starts from ``initial_state``. A run given ``resume`` goes on
-    from that state's ``loop_index`` and advances that object in place,
-    ``config`` included, and returns it as ``result.state``; to resume from
-    the same checkpoint twice, restore it twice. After an aborted run the
-    state holds part of the failed loop's updates.
+    from its ``loop_index`` under its config: ``config`` may differ from
+    ``resume.config`` only in ``steps``, not below ``loop_index``. The run
+    advances that object in place, ``config.steps`` included, and returns it
+    as ``result.state``; to resume from the same checkpoint twice, restore it
+    twice. A config or bundle (``check_bundle``) that does not fit the state
+    raises ``ValueError`` before the state is touched; after an aborted run
+    the state holds part of the failed loop's updates.
     """
     state = initial_state(config, bundle) if resume is None else resume
-    session = _Session(config, bundle, state)
+    changed = [f.name for f in fields(TrainConfig) if f.name != "steps"
+               and getattr(config, f.name) != getattr(state.config, f.name)]
+    if changed:
+        raise ValueError(f"a resumed run keeps its state's config; only steps may "
+                         f"change: {', '.join(changed)}")
+    if config.steps < state.loop_index:
+        raise ValueError(f"steps {config.steps} is below the checkpoint's loop_index "
+                         f"{state.loop_index}: a resumed run cannot go back")
+    check_bundle(state, bundle)
+    state.config = config
+    session = _Session(bundle, state)
+    rows = []
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for loop in range(state.loop_index + 1, config.steps + 1):
             started = time.perf_counter()
@@ -286,12 +298,12 @@ def train(config: TrainConfig, bundle: DatasetBundle,
                 raise RuntimeError(f"training aborted at loop {loop}: "
                                    f"non-finite losses {bad}")
             state.loop_index = loop
-            session.report.rows.append(LoopRecord(
+            rows.append(LoopRecord(
                 loop=loop, enhanced_size=state.pools.enhanced.size,
                 novel_size=state.pools.novel.size,
                 seconds=time.perf_counter() - started, **values))
-    return TrainResult(model=state.model, pools=state.pools, report=session.report,
-                       state=state)
+    report = TrainReport(rows=rows, d_updates=session.opt_d.step_count)
+    return TrainResult(model=state.model, pools=state.pools, report=report, state=state)
 
 
 # ---------------------------------------------------------------------------

@@ -187,16 +187,6 @@ class TestEval:
         assert file_hash(a / "metrics.csv") == file_hash(b / "metrics.csv")
         assert file_hash(a / "curve.csv") == file_hash(b / "curve.csv")
 
-    def test_dim_mismatch_rejected(self, tmp_path, trained, capsys):
-        other = tmp_path / "other.json"
-        assert run("gen-data", "--families", 2, "--genera", 2, "--species", 3,
-                   "--samples", 4, "--vis-dim", 9, "--sem-dim", 5, "--seed", 3,
-                   "--out", other) == 0
-        code = run("eval", "--data", other, "--checkpoint",
-                   trained / "checkpoint.json", "--out", tmp_path / "bad")
-        assert code != 0
-        assert "mismatch" in capsys.readouterr().err
-
 
 class TestRetrieve:
     def test_ranking_matches_oracle(self, tmp_path, small_data, trained):
@@ -292,6 +282,7 @@ BAD_VALUES = [
     ("train", {"lambda": -1}, [], None, "lambda must be >= 0, got -1.0"),
     ("train", {"lambda": float("nan")}, [], None, "lambda must be finite, got nan"),
     ("train", None, ["--lambda", -2], None, "lambda must be >= 0, got -2.0"),
+    ("train", {"offspring_budget": 1}, [], None, "offspring_budget must be even, got 1"),
 ]
 
 # A field of a saved file set to a value of the wrong JSON type, with the
@@ -458,18 +449,39 @@ class TestBadInput:
         assert_one_error_line(capsys, f"{split} split: species [{ids[-1]}]", problem)
         assert not out.exists()
 
-    def test_resume_rejects_pool_class_missing_from_bundle(self, tmp_path, small_data,
-                                                           trained, capsys):
-        document = json.loads((trained / "checkpoint.json").read_text())
-        document["pools"]["enhanced/species/999"] = encode_array(np.full((1, 5), 0.5))
-        checkpoint = tmp_path / "bad-checkpoint.json"
-        checkpoint.write_text(json.dumps(document))
-        capsys.readouterr()
-        out = tmp_path / "resumed"
-        assert run("train", "--data", small_data, "--out", out,
-                   "--resume", checkpoint, "--steps", 3) == 1
-        assert_one_error_line(capsys, "enhanced/species/999")
-        assert not out.exists()
+    @pytest.mark.parametrize("problem,name", [("width", "dim mismatch"),
+                                              ("split", "seen classes differ"),
+                                              ("pool", "enhanced/species/999")])
+    @pytest.mark.parametrize("command", ["train", "eval", "retrieve"])
+    def test_checkpoint_must_fit_the_data(self, tmp_path, small_data, trained, capsys,
+                                          command, problem, name):
+        """Data of another width with the checkpoint's splits, another seen
+        split, or a checkpoint pool key with no seen class stops each command
+        that reads a checkpoint on one line naming the problem."""
+        data, checkpoint = small_data, trained / "checkpoint.json"
+        if problem != "pool":
+            document = json.loads(small_data.read_text())
+            splits = document["splits"]
+            if problem == "width":
+                wide = tmp_path / "wide-data.json"
+                assert run("gen-data", "--families", 2, "--genera", 2, "--species", 3,
+                           "--samples", 4, "--vis-dim", 9, "--sem-dim", 5, "--seed", 3,
+                           "--out", wide) == 0
+                document = {**json.loads(wide.read_text()), "splits": splits}
+            else:
+                splits["unseen"] = sorted(splits["unseen"] + splits["seen"][:1])
+                splits["seen"] = splits["seen"][1:]
+            data = tmp_path / f"{problem}-data.json"
+            data.write_text(json.dumps(document))
+        else:
+            document = json.loads(checkpoint.read_text())
+            document["pools"]["enhanced/species/999"] = encode_array(np.full((1, 5), 0.5))
+            checkpoint = tmp_path / "bad-checkpoint.json"
+            checkpoint.write_text(json.dumps(document))
+        inputs = {"train": ["--resume", checkpoint, "--steps", 3],
+                  "eval": ["--checkpoint", checkpoint],
+                  "retrieve": ["--checkpoint", checkpoint, "--class", 0]}[command]
+        assert_rejected(tmp_path, capsys, command, ["--data", data, *inputs], name)
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_class_count_must_match_seen_species(self, tmp_path, small_data, trained,

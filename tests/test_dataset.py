@@ -113,13 +113,13 @@ class TestCenters:
         ds = LevelDataset("species", np.array([[1.0, 2.0]]), np.array([7]),
                           np.zeros((1, 2)))
         centers = compute_visual_centers(ds)
-        np.testing.assert_array_equal(centers.centers[7], [1.0, 2.0])
+        np.testing.assert_array_equal(centers[7], [1.0, 2.0])
 
     def test_arithmetic_mean(self):
         datasets = derive_knowledge_datasets(tiny_bundle())
         centers = compute_visual_centers(datasets["species"])
-        np.testing.assert_allclose(centers.centers[0], [1.0, 2.0])
-        np.testing.assert_allclose(centers.centers[1], [2.0, 2.0])
+        np.testing.assert_allclose(centers[0], [1.0, 2.0])
+        np.testing.assert_allclose(centers[1], [2.0, 2.0])
 
     def test_family_center_is_weighted_genus_combination(self):
         bundle = generate_synthetic(SyntheticSpec(samples_per_species=4, visual_dim=6,
@@ -129,7 +129,7 @@ class TestCenters:
         genus_ds = datasets["genus"]
         family_of_genus = {bundle.by_species[s].genus_id: bundle.by_species[s].family_id
                            for s in bundle.seen_ids}
-        for fam, center in family_centers.centers.items():
+        for fam, center in family_centers.items():
             total = np.zeros(bundle.visual_dim)
             count = 0
             for genus, idx in genus_ds.indices_by_class.items():
@@ -148,12 +148,7 @@ class TestCenters:
                 rows = [ds.visuals[i] for i in range(len(ds))
                         if ds.labels[i] == class_id]
                 brute = sum(rows) / len(rows)
-                assert np.linalg.norm(centers.centers[class_id] - brute) <= 1e-12
-
-    def test_missing_center_lookup_raises(self):
-        centers = compute_visual_centers(derive_knowledge_datasets(tiny_bundle())["species"])
-        with pytest.raises(KeyError, match="99"):
-            centers.rows_for(np.array([0, 99]))
+                assert np.linalg.norm(centers[class_id] - brute) <= 1e-12
 
 
 # Every bounded SyntheticSpec field just past each end of its range:
@@ -205,8 +200,8 @@ class TestSynthetic:
         bundle = generate_synthetic(SyntheticSpec(), seed=1)
         datasets = derive_knowledge_datasets(bundle)
         centers = compute_visual_centers(datasets["species"])
-        ids = sorted(centers.centers)
-        matrix = np.stack([centers.centers[c] for c in ids])
+        ids = sorted(centers)
+        matrix = np.stack([centers[c] for c in ids])
         x = bundle.seen_visuals()
         distance = ((x[:, None, :] - matrix[None, :, :]) ** 2).sum(axis=2)
         predicted = np.asarray(ids)[np.argmin(distance, axis=1)]

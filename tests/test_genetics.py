@@ -238,7 +238,7 @@ class TestStability:
         model.generators["species"].params["w1"].data[0, 0] = np.inf
         class_id = datasets["species"].class_ids[0]
         with pytest.raises(ValueError, match="non-finite"):
-            gn.stability_scores(np.ones(6), model, centers["species"].centers[class_id],
+            gn.stability_scores(np.ones(6), model, centers["species"][class_id],
                                 np.random.default_rng(0))
 
     def test_scores_in_unit_interval_and_deterministic(self):
@@ -246,7 +246,7 @@ class TestStability:
         species_ds = datasets["species"]
         class_id = species_ds.class_ids[0]
         t_vec = species_ds.semantics[species_ds.indices_by_class[class_id][0]]
-        center = centers["species"].centers[class_id]
+        center = centers["species"][class_id]
         d1 = gn.stability_scores(t_vec, model, center, np.random.default_rng(42))
         d2 = gn.stability_scores(t_vec, model, center, np.random.default_rng(42))
         assert d1.shape == (1,)

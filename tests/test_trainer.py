@@ -147,6 +147,8 @@ OUT_OF_RANGE = [
     (TrainConfig, "alpha", -1e-12),
     (TrainConfig, "alpha", 1 + 1e-12),
     (TrainConfig, "lam", float("nan")),
+    # run_nfg_phase draws offspring in pairs.
+    (TrainConfig, "offspring_budget", 1),
 ]
 
 # The closed ends not covered by their own test below: each value is valid.
@@ -399,6 +401,25 @@ class TestCheckpoint:
         assert first.state.loop_index == 6 and first.state.config.steps == 6
         assert [r.loop for r in resumed.report.rows] == [4, 5, 6]
         assert_resumed_matches(straight, resumed)
+
+    @pytest.mark.parametrize("name,value", [("fusion_mode", "summing"), ("gen_hidden", 8),
+                                            ("seed", 2), ("learning_rate", 5e-4)])
+    def test_resume_rejects_config_change(self, name, value):
+        """A resumed run keeps its state's config: any change but ``steps`` is
+        named before the state is touched, and a ``steps``-only change still
+        resumes bit for bit."""
+        bundle = small_bundle()
+        state = tr.train(small_config(steps=2, n_nfg=1), bundle).state
+        params = {n: p.data.tobytes() for n, p in state.model.named_params().items()}
+        rng_state = state.rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"only steps may change: {name}$"):
+            tr.train(small_config(steps=4, n_nfg=1, **{name: value}), bundle,
+                     resume=state)
+        assert state.loop_index == 2 and state.config == small_config(steps=2, n_nfg=1)
+        assert state.rng.bit_generator.state == rng_state
+        assert {n: p.data.tobytes() for n, p in state.model.named_params().items()} == params
+        resumed = tr.train(small_config(steps=4, n_nfg=1), bundle, resume=state)
+        assert_resumed_matches(tr.train(small_config(steps=4, n_nfg=1), bundle), resumed)
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_new_files_follow_the_umask(self, tmp_path, umask, mode):
