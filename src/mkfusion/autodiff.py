@@ -365,6 +365,11 @@ def backward(loss: Tensor, *, wrt: Sequence[Tensor]) -> list[Array]:
 # Optimization
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.5
+ADAM_BETA2 = 0.9
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Adam with bias correction over a fixed parameter list.
 
@@ -372,15 +377,11 @@ class AdamState:
     updated in place; the step count increases by one per ``step`` call.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.5, beta2: float = 0.9, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -392,7 +393,7 @@ class AdamState:
                              f"{len(self.params)} parameters")
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         # In place, keeping the operation order (and so the bits) of
         #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         #   p -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
@@ -406,7 +407,7 @@ class AdamState:
             update = m / (1.0 - b1 ** t)
             update *= self.lr
             denom = np.sqrt(v / (1.0 - b2 ** t))
-            denom += self.eps
+            denom += ADAM_EPS
             update /= denom
             p.data -= update
 

@@ -172,7 +172,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     seed = state.config.seed
     outputs = {}
     if mode == "zsl":
-        top1, per_class, _ = ev.evaluate_zsl(state.model, bundle, n_syn=n_syn, seed=seed)
+        top1, per_class = ev.evaluate_zsl(state.model, bundle, n_syn=n_syn, seed=seed)
         text = f"top1_unseen={top1!r}\n"
         csv = f"top1_unseen\n{top1!r}\n"
     else:

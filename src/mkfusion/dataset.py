@@ -157,10 +157,6 @@ class DatasetBundle:
     def semantic_for(self, species_id: int) -> Array:
         return self.by_species[int(species_id)].semantic
 
-    @property
-    def n_samples(self) -> int:
-        return len(self.sample_species)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DatasetBundle):
             return NotImplemented
@@ -188,16 +184,9 @@ class LevelDataset:
     changes between levels.
     """
 
-    level: str
     visuals: Array
     labels: Array
     semantics: Array
-
-    def __post_init__(self):
-        if self.level not in LEVELS:
-            raise ValueError(f"unknown level: {self.level!r}")
-        if not (len(self.visuals) == len(self.labels) == len(self.semantics)):
-            raise ValueError("entry columns must have equal length")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -231,8 +220,7 @@ def derive_knowledge_datasets(bundle: DatasetBundle) -> dict[str, LevelDataset]:
     for level in LEVELS:
         labels = np.asarray([bundle.by_species[int(s)].level_id(level) for s in species],
                             dtype=np.int64)
-        out[level] = LevelDataset(level=level, visuals=visuals, labels=labels,
-                                  semantics=semantics)
+        out[level] = LevelDataset(visuals=visuals, labels=labels, semantics=semantics)
     return out
 
 

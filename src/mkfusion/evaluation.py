@@ -50,16 +50,17 @@ class SeenUnseenCurve:
             lines.append(f"{g!r},{s!r},{u!r}")
         return "\n".join(lines) + "\n"
 
-    def to_svg(self, width: int = 320, height: int = 320) -> str:
-        """Polyline of U against S on the unit square."""
+    def to_svg(self) -> str:
+        """Polyline of U against S on the unit square, drawn 300 x 300 inside a
+        320 x 320 image."""
         order = np.argsort(self.seen_accuracy, kind="stable")
         points = " ".join(
-            f"{self.seen_accuracy[i] * (width - 20) + 10:.2f},"
-            f"{height - 10 - self.unseen_accuracy[i] * (height - 20):.2f}"
+            f"{self.seen_accuracy[i] * 300 + 10:.2f},"
+            f"{310 - self.unseen_accuracy[i] * 300:.2f}"
             for i in order)
-        return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-                f'height="{height}" viewBox="0 0 {width} {height}">'
-                f'<rect width="{width}" height="{height}" fill="white"/>'
+        return ('<svg xmlns="http://www.w3.org/2000/svg" width="320" '
+                'height="320" viewBox="0 0 320 320">'
+                '<rect width="320" height="320" fill="white"/>'
                 f'<polyline points="{points}" fill="none" stroke="black"/></svg>\n')
 
 
@@ -283,17 +284,15 @@ def _unseen_top1(prototypes: ClassPrototypes, bundle: DatasetBundle
 
 
 def evaluate_zsl(model: FusionGan, bundle: DatasetBundle, n_syn: int = DEFAULT_N_SYN,
-                 seed: int = 0) -> tuple[float, dict[int, int], ClassPrototypes]:
+                 seed: int = 0) -> tuple[float, dict[int, int]]:
     """Unseen-only protocol: classify unseen samples among unseen classes."""
     semantics = {c: bundle.semantic_for(c) for c in bundle.unseen_ids}
-    prototypes = synthesize_prototypes(model, semantics, n_syn, seed)
-    top1, per_class = _unseen_top1(prototypes, bundle)
-    return top1, per_class, prototypes
+    return _unseen_top1(synthesize_prototypes(model, semantics, n_syn, seed), bundle)
 
 
 def evaluate_gzsl(model: FusionGan, bundle: DatasetBundle, n_syn: int = DEFAULT_N_SYN,
-                  seed: int = 0, fusion_mode: str | None = None,
-                  top_k: int = DEFAULT_TOP_K) -> tuple[Metrics, SeenUnseenCurve]:
+                  seed: int = 0, fusion_mode: str | None = None
+                  ) -> tuple[Metrics, SeenUnseenCurve]:
     """Joint protocol over all classes, reporting uncalibrated accuracies,
     the best-offset harmonic mean, curve area, and retrieval precision.
 
@@ -313,8 +312,7 @@ def evaluate_gzsl(model: FusionGan, bundle: DatasetBundle, n_syn: int = DEFAULT_
                 zip(curve.seen_accuracy, curve.unseen_accuracy)]
     best = int(np.argmax(h_values))
     top1_unseen, per_class = _unseen_top1(prototypes, bundle)
-    precision = retrieval_precision(prototypes, unseen_x, unseen_y,
-                                    bundle.unseen_ids, top_k)
+    precision = retrieval_precision(prototypes, unseen_x, unseen_y, bundle.unseen_ids)
     metrics = Metrics(top1_unseen=top1_unseen, seen_accuracy=s0, unseen_accuracy=u0,
                       harmonic=harmonic_mean(s0, u0),
                       best_harmonic=float(h_values[best]),

@@ -23,42 +23,20 @@ Array = np.ndarray
 
 @dataclass
 class GeneticDraw:
-    """One sampled mutation/crossover plan for vectors of dimension ``dim``.
+    """One sampled mutation/crossover plan: ``loc1`` holds the distinct
+    mutation positions and ``loc2`` the distinct crossover positions."""
 
-    ``loc1`` holds floor(dim * r1) distinct mutation positions and ``loc2``
-    floor(dim * r2) distinct crossover positions.
-    """
-
-    dim: int
-    r1: float
-    r2: float
     loc1: Array
     loc2: Array
 
-    def __post_init__(self):
-        for name, locs, rate in (("loc1", self.loc1, self.r1),
-                                 ("loc2", self.loc2, self.r2)):
-            locs = np.asarray(locs, dtype=np.int64)
-            if len(np.unique(locs)) != len(locs):
-                raise ValueError(f"{name}: positions must be distinct")
-            if len(locs) and (locs.min() < 0 or locs.max() >= self.dim):
-                raise ValueError(f"{name}: position out of range")
-            if len(locs) != int(self.dim * rate):
-                raise ValueError(f"{name}: expected floor(dim * r) positions")
-        self.loc1 = np.asarray(self.loc1, dtype=np.int64)
-        self.loc2 = np.asarray(self.loc2, dtype=np.int64)
-
     @classmethod
     def sample(cls, dim: int, rng: np.random.Generator) -> "GeneticDraw":
-        """A draw valid by construction, so ``__post_init__``'s checks are
-        skipped; draws built from outside still run them."""
-        draw = object.__new__(cls)
-        draw.dim = dim
-        draw.r1 = float(rng.uniform())
-        draw.r2 = float(rng.uniform())
-        draw.loc1 = rng.choice(dim, size=int(dim * draw.r1), replace=False)
-        draw.loc2 = rng.choice(dim, size=int(dim * draw.r2), replace=False)
-        return draw
+        """Draw rates r1, r2 uniformly in [0, 1), then floor(dim * r1)
+        mutation and floor(dim * r2) crossover positions out of ``dim``."""
+        r1 = float(rng.uniform())
+        r2 = float(rng.uniform())
+        return cls(loc1=rng.choice(dim, size=int(dim * r1), replace=False),
+                   loc2=rng.choice(dim, size=int(dim * r2), replace=False))
 
 
 def mutate(t_a: Array, rng: np.random.Generator, draw: GeneticDraw) -> Array:
@@ -71,8 +49,7 @@ def mutate(t_a: Array, rng: np.random.Generator, draw: GeneticDraw) -> Array:
     return out
 
 
-def crossover(t_a: Array, t_b: Array, rng: np.random.Generator,
-              draw: GeneticDraw) -> Array:
+def crossover(t_a: Array, t_b: Array, draw: GeneticDraw) -> Array:
     """Copy of ``t_a`` with the drawn positions replaced by ``t_b``'s entries."""
     t_a = np.asarray(t_a, dtype=np.float64)
     t_b = np.asarray(t_b, dtype=np.float64)

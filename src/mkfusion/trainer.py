@@ -191,7 +191,7 @@ class _Session:
             level, class_id, t_a, t_b = gn.sample_parents(self.datasets, self.pools, rng)
             draw = gn.GeneticDraw.sample(self.semantic_dim, rng)
             offspring.append(gn.mutate(t_a, rng, draw))
-            offspring.append(gn.crossover(t_a, t_b, rng, draw))
+            offspring.append(gn.crossover(t_a, t_b, draw))
             center = self.centers[level][class_id]
             center_rows.extend([center, center])
             origins.extend([(level, class_id)] * 2)

@@ -172,7 +172,7 @@ class TestCriterion3GeneticOperators:
             t_b = rng.normal(0, 1, dim)
             draw = gn.GeneticDraw.sample(dim, rng)
             v_mut = gn.mutate(t_a, rng, draw)
-            v_cross = gn.crossover(t_a, t_b, rng, draw)
+            v_cross = gn.crossover(t_a, t_b, draw)
 
             untouched = np.setdiff1d(np.arange(dim), draw.loc1)
             assert np.array_equal(v_mut[untouched], t_a[untouched])

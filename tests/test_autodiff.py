@@ -285,7 +285,7 @@ class TestAdam:
         # Hand evaluation with beta1=0.5, beta2=0.9: m_hat = v_hat = g on step 1,
         # so the update is -lr * g / (|g| + eps).
         p = t([0.0], requires_grad=True)
-        state = ad.AdamState([p], lr=0.1, beta1=0.5, beta2=0.9)
+        state = ad.AdamState([p], lr=0.1)
         state.step([np.array([1.0])])
         assert p.data[0] == pytest.approx(-0.1, abs=1e-6)
 

@@ -110,8 +110,7 @@ class TestDerive:
 
 class TestCenters:
     def test_single_sample_class(self):
-        ds = LevelDataset("species", np.array([[1.0, 2.0]]), np.array([7]),
-                          np.zeros((1, 2)))
+        ds = LevelDataset(np.array([[1.0, 2.0]]), np.array([7]), np.zeros((1, 2)))
         centers = compute_visual_centers(ds)
         np.testing.assert_array_equal(centers[7], [1.0, 2.0])
 
@@ -177,7 +176,7 @@ class TestSynthetic:
     def test_default_counts(self):
         bundle = generate_synthetic(SyntheticSpec(), seed=1)
         assert len(bundle.classes) == 36
-        assert bundle.n_samples == 720
+        assert len(bundle.sample_species) == 720
         assert len(bundle.unseen_ids) == 6
         assert not set(bundle.seen_ids) & set(bundle.unseen_ids)
         assert sorted(bundle.seen_ids + bundle.unseen_ids) == list(range(36))

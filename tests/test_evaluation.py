@@ -428,7 +428,7 @@ class TestDrivers:
         model = FusionGan(visual_dim=6, semantic_dim=4, n_classes=len(bundle.seen_ids),
                           noise_dim=3, gen_hidden=8, disc_hidden=(8, 6),
                           fusion_hidden=5, seed=5)
-        top1, per_class, _ = ev.evaluate_zsl(model, bundle, n_syn=7, seed=3)
+        top1, per_class = ev.evaluate_zsl(model, bundle, n_syn=7, seed=3)
         metrics, _ = ev.evaluate_gzsl(model, bundle, n_syn=7, seed=3)
         assert metrics.top1_unseen == top1
         assert metrics.per_class_correct == per_class

@@ -1,4 +1,3 @@
-import dataclasses
 import types
 
 import numpy as np
@@ -20,50 +19,28 @@ def fresh_graph():
     ad.clear_graph()
 
 
-def forced_draw(dim, loc1=(), loc2=()):
-    # Rates chosen so floor(dim * r) matches the requested position counts.
-    return gn.GeneticDraw(dim=dim, r1=len(loc1) / dim, r2=len(loc2) / dim,
-                          loc1=np.array(loc1, dtype=np.int64),
+def forced_draw(loc1=(), loc2=()):
+    return gn.GeneticDraw(loc1=np.array(loc1, dtype=np.int64),
                           loc2=np.array(loc2, dtype=np.int64))
 
 
 class TestGeneticDraw:
-    def test_sampled_draws_are_valid(self):
-        """``sample`` skips ``__post_init__``; its draws must pass it anyway."""
-        rng = np.random.default_rng(0)
+    def test_sample_replays_rate_and_position_draws(self):
+        """Each draw is r1, r2, then floor(dim * r1) and floor(dim * r2)
+        distinct in-range int64 positions, taken from the stream in that order."""
+        rng, twin = np.random.default_rng(1), np.random.default_rng(1)
         for _ in range(200):
             draw = gn.GeneticDraw.sample(16, rng)
-            for locs, rate in ((draw.loc1, draw.r1), (draw.loc2, draw.r2)):
+            r1, r2 = float(twin.uniform()), float(twin.uniform())
+            expected = (twin.choice(16, size=int(16 * r1), replace=False),
+                        twin.choice(16, size=int(16 * r2), replace=False))
+            for locs, want in zip((draw.loc1, draw.loc2), expected):
+                np.testing.assert_array_equal(locs, want)
                 assert locs.dtype == np.int64
-                assert len(locs) == int(16 * rate)
                 assert len(set(locs.tolist())) == len(locs)
                 if len(locs):
                     assert 0 <= locs.min() and locs.max() < 16
-            dataclasses.replace(draw)  # runs the checks
-
-    def test_sample_matches_checked_constructor(self):
-        """Same fields and the same generator state as building each draw
-        through the checked constructor from the same stream."""
-        fast, checked = np.random.default_rng(1), np.random.default_rng(1)
-        for _ in range(100):
-            draw = gn.GeneticDraw.sample(16, fast)
-            r1, r2 = float(checked.uniform()), float(checked.uniform())
-            expected = gn.GeneticDraw(
-                dim=16, r1=r1, r2=r2,
-                loc1=checked.choice(16, size=int(16 * r1), replace=False),
-                loc2=checked.choice(16, size=int(16 * r2), replace=False))
-            assert (draw.dim, draw.r1, draw.r2) == (expected.dim, expected.r1, expected.r2)
-            np.testing.assert_array_equal(draw.loc1, expected.loc1)
-            np.testing.assert_array_equal(draw.loc2, expected.loc2)
-        assert fast.bit_generator.state == checked.bit_generator.state
-
-    def test_invalid_draws_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            gn.GeneticDraw(dim=4, r1=0.5, r2=0.0, loc1=np.array([1, 1]),
-                           loc2=np.array([], dtype=np.int64))
-        with pytest.raises(ValueError, match="out of range"):
-            gn.GeneticDraw(dim=4, r1=0.25, r2=0.0, loc1=np.array([7]),
-                           loc2=np.array([], dtype=np.int64))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def mutate_per_position(t_a, rng, draw):
@@ -87,7 +64,7 @@ class TestMutate:
             t_a = rng.normal(0, 1, dim)
             t_a[rng.random(dim) < 0.3] = 0.0
             t_a[rng.random(dim) < 0.2] = -0.0
-            draw = (forced_draw(dim) if i % 10 == 0
+            draw = (forced_draw() if i % 10 == 0
                     else gn.GeneticDraw.sample(dim, rng))
             seed = int(rng.integers(2**32))
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -99,13 +76,13 @@ class TestMutate:
     def test_empty_mutation_set_is_identity(self):
         rng = np.random.default_rng(1)
         t_a = rng.normal(0, 1, 8)
-        out = gn.mutate(t_a, rng, draw=forced_draw(8))
+        out = gn.mutate(t_a, rng, draw=forced_draw())
         np.testing.assert_array_equal(out, t_a)
 
     def test_zero_entry_gets_fresh_uniform(self):
         rng = np.random.default_rng(2)
         t_a = np.zeros(6)
-        out = gn.mutate(t_a, rng, draw=forced_draw(6, loc1=(3,)))
+        out = gn.mutate(t_a, rng, draw=forced_draw(loc1=(3,)))
         assert 0.0 < out[3] < 1.0
         assert np.all(out[[0, 1, 2, 4, 5]] == 0.0)
 
@@ -133,26 +110,26 @@ class TestCrossover:
     def test_identical_parents_fixed_point(self):
         rng = np.random.default_rng(5)
         t_a = rng.normal(0, 1, 9)
-        out = gn.crossover(t_a, t_a.copy(), rng, gn.GeneticDraw.sample(9, rng))
+        out = gn.crossover(t_a, t_a.copy(), gn.GeneticDraw.sample(9, rng))
         np.testing.assert_array_equal(out, t_a)
 
     def test_empty_swap_is_identity(self):
         rng = np.random.default_rng(6)
         t_a, t_b = rng.normal(0, 1, (2, 7))
-        out = gn.crossover(t_a, t_b, rng, draw=forced_draw(7))
+        out = gn.crossover(t_a, t_b, draw=forced_draw())
         np.testing.assert_array_equal(out, t_a)
 
     def test_positionwise_membership(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
             t_a, t_b = rng.normal(0, 1, (2, 11))
-            out = gn.crossover(t_a, t_b, rng, gn.GeneticDraw.sample(11, rng))
+            out = gn.crossover(t_a, t_b, gn.GeneticDraw.sample(11, rng))
             assert np.all((out == t_a) | (out == t_b))
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError, match="mismatch"):
-            gn.crossover(np.zeros(3), np.zeros(4), rng, gn.GeneticDraw.sample(3, rng))
+            gn.crossover(np.zeros(3), np.zeros(4), gn.GeneticDraw.sample(3, rng))
 
 
 def desk_context(seed=0, **model_kw):
@@ -177,8 +154,8 @@ class TestSampleParents:
         # Shrink the dataset to one entry of one class at every level.
         one = gn.Pools()
         tiny = {level: type(datasets[level])(
-            level=level, visuals=species_ds.visuals[idx[:1]],
-            labels=np.array([class_id]), semantics=species_ds.semantics[idx[:1]])
+            visuals=species_ds.visuals[idx[:1]], labels=np.array([class_id]),
+            semantics=species_ds.semantics[idx[:1]])
             for level in LEVELS}
         rng = np.random.default_rng(9)
         level, cid, t_a, t_b = gn.sample_parents(tiny, one, rng)
@@ -211,8 +188,8 @@ class TestSampleParents:
 
     def test_empty_dataset_rejected(self):
         empty = {level: type(desk_context()[1]["species"])(
-            level=level, visuals=np.zeros((0, 8)),
-            labels=np.zeros(0, dtype=np.int64), semantics=np.zeros((0, 6)))
+            visuals=np.zeros((0, 8)), labels=np.zeros(0, dtype=np.int64),
+            semantics=np.zeros((0, 6)))
             for level in LEVELS}
         with pytest.raises(ValueError, match="no classes"):
             gn.sample_parents(empty, gn.Pools(), np.random.default_rng(0))
