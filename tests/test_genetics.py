@@ -25,22 +25,32 @@ def forced_draw(loc1=(), loc2=()):
 
 
 class TestGeneticDraw:
-    def test_sample_replays_rate_and_position_draws(self):
-        """Each draw is r1, r2, then floor(dim * r1) and floor(dim * r2)
-        distinct in-range int64 positions, taken from the stream in that order."""
-        rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+    def test_sampled_draws_are_valid(self):
+        """Both position sets are distinct, in-range int64 positions."""
+        rng = np.random.default_rng(0)
         for _ in range(200):
             draw = gn.GeneticDraw.sample(16, rng)
-            r1, r2 = float(twin.uniform()), float(twin.uniform())
-            expected = (twin.choice(16, size=int(16 * r1), replace=False),
-                        twin.choice(16, size=int(16 * r2), replace=False))
-            for locs, want in zip((draw.loc1, draw.loc2), expected):
-                np.testing.assert_array_equal(locs, want)
+            for locs in (draw.loc1, draw.loc2):
                 assert locs.dtype == np.int64
+                assert len(locs) < 16
                 assert len(set(locs.tolist())) == len(locs)
                 if len(locs):
                     assert 0 <= locs.min() and locs.max() < 16
-        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_sample_matches_checked_constructor(self):
+        """Same positions and the same generator state as drawing r1, r2,
+        then floor(dim * r1) and floor(dim * r2) positions from the same
+        stream and building each draw through the constructor."""
+        fast, checked = np.random.default_rng(1), np.random.default_rng(1)
+        for _ in range(200):
+            draw = gn.GeneticDraw.sample(16, fast)
+            r1, r2 = float(checked.uniform()), float(checked.uniform())
+            expected = gn.GeneticDraw(
+                loc1=checked.choice(16, size=int(16 * r1), replace=False),
+                loc2=checked.choice(16, size=int(16 * r2), replace=False))
+            np.testing.assert_array_equal(draw.loc1, expected.loc1)
+            np.testing.assert_array_equal(draw.loc2, expected.loc2)
+        assert fast.bit_generator.state == checked.bit_generator.state
 
 
 def mutate_per_position(t_a, rng, draw):
