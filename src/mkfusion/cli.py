@@ -91,6 +91,17 @@ def _settings(args: argparse.Namespace) -> dict:
     return values
 
 
+def _build(cls, kwargs: dict, names: dict):
+    """``cls(**kwargs)``. A range error starts with a field's name; it is
+    replaced by the name the user gave the setting, from ``names`` (field ->
+    setting)."""
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        name, _, rest = str(err).partition(" ")
+        raise ValueError(f"{names.get(name, name)} {rest}") from None
+
+
 def write_manifest(path: str, command: str, config: dict, seed,
                    inputs: dict, outputs: dict, started_at: str) -> None:
     manifest = {
@@ -113,8 +124,8 @@ def write_manifest(path: str, command: str, config: dict, seed,
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     started = _utc_now()
     settings = _settings(args)
-    spec = SyntheticSpec(**{f.name: settings[SPEC_SETTINGS.get(f.name, f.name)]
-                            for f in dataclasses.fields(SyntheticSpec)})
+    spec = _build(SyntheticSpec, {f.name: settings[SPEC_SETTINGS.get(f.name, f.name)]
+                                  for f in dataclasses.fields(SyntheticSpec)}, SPEC_SETTINGS)
     bundle = generate_synthetic(spec, settings["seed"])
     save_bundle(bundle, args.out)
     write_manifest(args.out + ".manifest.json", "gen-data", settings, settings["seed"],
@@ -137,13 +148,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if args.steps is not None:
             config = dataclasses.replace(config, steps=args.steps)
     else:
-        settings = _settings(args)
-        try:
-            config = tr.TrainConfig(**settings)
-        except ValueError as err:
-            # Range errors start with the field name; name the user's key.
-            name, _, rest = str(err).partition(" ")
-            raise ValueError(f"{ALIASES.get(name, name)} {rest}") from None
+        config = _build(tr.TrainConfig, _settings(args), ALIASES)
     bundle = load_bundle(args.data)
     result = tr.train(config, bundle, resume=resume_state)
     os.makedirs(args.out, exist_ok=True)

@@ -74,13 +74,9 @@ class ClassRecord:
             raise ValueError(f"class {self.species_id}: non-finite semantic vector")
 
     def level_id(self, level: str) -> int:
-        if level == "species":
-            return self.species_id
-        if level == "genus":
-            return self.genus_id
-        if level == "family":
-            return self.family_id
-        raise ValueError(f"unknown level: {level!r}")
+        if level not in LEVELS:
+            raise ValueError(f"unknown level: {level!r}")
+        return getattr(self, f"{level}_id")
 
 
 class DatasetBundle:
@@ -157,24 +153,6 @@ class DatasetBundle:
     def semantic_for(self, species_id: int) -> Array:
         return self.by_species[int(species_id)].semantic
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DatasetBundle):
-            return NotImplemented
-        if (self.visual_dim, self.semantic_dim) != (other.visual_dim, other.semantic_dim):
-            return False
-        if self.seen_ids != other.seen_ids or self.unseen_ids != other.unseen_ids:
-            return False
-        if len(self.classes) != len(other.classes):
-            return False
-        for a, b in zip(self.classes, other.classes):
-            if (a.species_id, a.genus_id, a.family_id, a.name) != \
-                    (b.species_id, b.genus_id, b.family_id, b.name):
-                return False
-            if not np.array_equal(a.semantic, b.semantic):
-                return False
-        return (np.array_equal(self.sample_species, other.sample_species)
-                and np.array_equal(self.sample_visuals, other.sample_visuals))
-
 
 @dataclass
 class LevelDataset:
@@ -210,18 +188,18 @@ def derive_knowledge_datasets(bundle: DatasetBundle) -> dict[str, LevelDataset]:
     All three share the same sample rows and per-sample species semantics;
     they differ only in the class id column.
     """
-    species = bundle.seen_sample_species()
+    classes = bundle.classes
+    ids = np.array([[c.level_id(level) for level in LEVELS] for c in classes],
+                   dtype=np.int64).reshape(len(classes), len(LEVELS))
+    semantics = np.array([c.semantic for c in classes]).reshape(len(classes),
+                                                                  bundle.semantic_dim)
+    # Each seen sample's row in ``classes``, found by its species id.
+    order = np.argsort(ids[:, 0])
+    rows = order[np.searchsorted(ids[:, 0], bundle.seen_sample_species(), sorter=order)]
     visuals = bundle.seen_visuals()
-    if len(species):
-        semantics = np.stack([bundle.semantic_for(s) for s in species])
-    else:
-        semantics = np.zeros((0, bundle.semantic_dim))
-    out = {}
-    for level in LEVELS:
-        labels = np.asarray([bundle.by_species[int(s)].level_id(level) for s in species],
-                            dtype=np.int64)
-        out[level] = LevelDataset(visuals=visuals, labels=labels, semantics=semantics)
-    return out
+    return {level: LevelDataset(visuals=visuals, labels=ids[rows, i],
+                                semantics=semantics[rows])
+            for i, level in enumerate(LEVELS)}
 
 
 def compute_visual_centers(ds: LevelDataset) -> dict[int, Array]:
@@ -273,61 +251,43 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
     """Draw a deterministic desk-scale bundle from ``spec`` under ``seed``."""
     rng = np.random.default_rng(seed)
     f_count, g_count, s_count = spec.families, spec.genera_per_family, spec.species_per_genus
-    v, t = spec.visual_dim, spec.semantic_dim
+    v, t, n_species = spec.visual_dim, spec.semantic_dim, spec.n_species
 
     family_means = rng.normal(0.0, spec.sigma_family, (f_count, v))
-    genus_offsets = rng.normal(0.0, spec.sigma_genus, (f_count, g_count, v))
-    species_offsets = rng.normal(0.0, spec.sigma_species, (f_count, g_count, s_count, v))
+    genus_offsets = rng.normal(0.0, spec.sigma_genus, (f_count * g_count, v))
+    species_offsets = rng.normal(0.0, spec.sigma_species, (n_species, v))
     semantic_map = rng.normal(0.0, 1.0, (t, 3 * v)) / np.sqrt(3 * v)
+    semantic_noise = rng.normal(0.0, spec.semantic_noise_std, (n_species, t))
 
-    classes: list[ClassRecord] = []
-    species_means: list[Array] = []
-    genus_of: list[int] = []
-    for f in range(f_count):
-        for g in range(g_count):
-            genus_id = f * g_count + g
-            for s in range(s_count):
-                species_id = (f * g_count + g) * s_count + s
-                latent = np.concatenate([family_means[f], genus_offsets[f, g],
-                                         species_offsets[f, g, s]])
-                semantic = semantic_map @ latent + rng.normal(0.0, spec.semantic_noise_std, t)
-                classes.append(ClassRecord(species_id=species_id, genus_id=genus_id,
-                                           family_id=f, name=f"species-{species_id:03d}",
-                                           semantic=semantic))
-                species_means.append(family_means[f] + genus_offsets[f, g]
-                                     + species_offsets[f, g, s])
-                genus_of.append(genus_id)
+    genus = np.arange(n_species) // s_count
+    family = genus // g_count
+    parts = (family_means[family], genus_offsets[genus], species_offsets)
+    means = parts[0] + parts[1] + parts[2]
+    latents = np.concatenate(parts, axis=1)
+    # One matrix-vector product per species: a batched product may round
+    # differently, and the semantics' bits are part of the dataset contract.
+    classes = [ClassRecord(species_id=c, genus_id=int(genus[c]), family_id=int(family[c]),
+                           name=f"species-{c:03d}",
+                           semantic=semantic_map @ latents[c] + semantic_noise[c])
+               for c in range(n_species)]
 
-    n_species = spec.n_species
     n_unseen = min(max(int(round(n_species * spec.unseen_fraction)), 1), n_species - 1)
     order = rng.permutation(n_species)
-    seen_left = {g: genus_of.count(g) for g in set(genus_of)}
+    seen_left = np.full(f_count * g_count, s_count)
     unseen: list[int] = []
     for c in order:
-        if len(unseen) == n_unseen:
-            break
-        if seen_left[genus_of[c]] > 1:
+        if len(unseen) < n_unseen and seen_left[genus[c]] > 1:
             unseen.append(int(c))
-            seen_left[genus_of[c]] -= 1
-    for c in order:
-        # Quota unreachable under the one-seen-per-genus constraint; relax it.
-        if len(unseen) == n_unseen:
-            break
-        if int(c) not in unseen:
-            unseen.append(int(c))
+            seen_left[genus[c]] -= 1
+    # Quota unreachable under the one-seen-per-genus constraint; relax it.
+    unseen += [int(c) for c in order if c not in unseen][:n_unseen - len(unseen)]
     unseen = sorted(unseen)
     seen = [c for c in range(n_species) if c not in unseen]
 
-    sample_species = []
-    sample_visuals = []
-    for c in range(n_species):
-        draws = species_means[c] + rng.normal(0.0, spec.noise_std,
-                                              (spec.samples_per_species, v))
-        sample_visuals.append(draws)
-        sample_species.extend([c] * spec.samples_per_species)
-    return DatasetBundle(classes=classes,
-                         sample_species=np.asarray(sample_species, dtype=np.int64),
-                         sample_visuals=np.vstack(sample_visuals),
+    sample_species = np.repeat(np.arange(n_species), spec.samples_per_species)
+    noise = rng.normal(0.0, spec.noise_std, (len(sample_species), v))
+    return DatasetBundle(classes=classes, sample_species=sample_species,
+                         sample_visuals=means[sample_species] + noise,
                          seen_ids=seen, unseen_ids=unseen,
                          visual_dim=v, semantic_dim=t)
 

@@ -235,7 +235,7 @@ def novel_terms(model: FusionGan, t_batch: Array, z: Array, lam: float) -> Tenso
     n, k = logits.shape
     probs = ad.softmax(logits)
     uniform = Tensor(np.full((n, k), 1.0 / k))
-    mismatch = ad.scalar_mul(ad.reduce_sum(ad.square(ad.sub(probs, uniform))), 1.0 / n)
+    mismatch = ad.scalar_mul(ad.l2_squared_distance(probs, uniform), 1.0 / n)
     return ad.add(term_real, ad.scalar_mul(mismatch, lam))
 
 

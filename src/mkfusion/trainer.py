@@ -383,11 +383,13 @@ def restore_checkpoint(path: str) -> CheckpointData:
                                         f"adam/{group}/step_count")
         for key in ("m", "v"):
             entries = _require_field(state, key, list)
-            if len(entries) != len(opt.params):
+            moments = getattr(opt, key)
+            if len(entries) != len(moments):
                 raise ValueError(f"adam/{group}/{key}: {len(entries)} arrays for "
-                                 f"{len(opt.params)} parameters")
-            setattr(opt, key, [decode_array(entry, f"adam/{group}/{key}[{i}]", p.shape)
-                               for i, (entry, p) in enumerate(zip(entries, opt.params))])
+                                 f"{len(moments)} parameters")
+            # Into the optimizer's own zeroed arrays, so no second set is held.
+            for i, (entry, moment) in enumerate(zip(entries, moments)):
+                moment[...] = decode_array(entry, f"adam/{group}/{key}[{i}]", moment.shape)
     pools_doc = _require_field(document, "pools", dict)
     rows = (None, model.semantic_dim)
     pools = gn.Pools()

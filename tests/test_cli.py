@@ -283,6 +283,10 @@ BAD_VALUES = [
     ("train", {"lambda": float("nan")}, [], None, "lambda must be finite, got nan"),
     ("train", None, ["--lambda", -2], None, "lambda must be >= 0, got -2.0"),
     ("train", {"offspring_budget": 1}, [], None, "offspring_budget must be even, got 1"),
+    # A gen-data range error names the setting, not the SyntheticSpec field.
+    ("gen-data", None, ["--genera", 0], None, "genera must be >= 1, got 0"),
+    ("gen-data", None, ["--vis-dim", 0], None, "vis_dim must be >= 1, got 0"),
+    ("gen-data", {"unseen_frac": 1.5}, [], None, "unseen_frac must be < 1, got 1.5"),
 ]
 
 # A field of a saved file set to a value of the wrong JSON type, with the
