@@ -16,8 +16,8 @@ import numpy as np
 from . import __version__
 from . import evaluation as ev
 from . import trainer as tr
-from .dataset import (SyntheticSpec, atomic_write_text, fits, generate_synthetic,
-                      load_bundle, read_json_object, save_bundle)
+from .dataset import (SyntheticSpec, atomic_write_text, csv_text, fits,
+                      generate_synthetic, load_bundle, read_json_object, save_bundle)
 
 SEED_ENV_VAR = "MKFUSION_SEED"
 # The oldest numpy release mkfusion runs on, as in pyproject.toml; older ones
@@ -47,6 +47,9 @@ FLAGGED = {
 # Setting -> the name its flag and config key use instead; in a config file
 # the alias wins over the setting's own name.
 ALIASES = {"lam": "lambda"}
+# eval output file -> its key in the manifest's ``outputs``.
+EVAL_OUTPUTS = {"metrics.txt": "metrics_txt", "metrics.csv": "metrics_csv",
+                "per_class.csv": "per_class", "curve.csv": "curve", "curve.svg": "curve_svg"}
 
 
 def _utc_now() -> str:
@@ -102,39 +105,23 @@ def _build(cls, kwargs: dict, names: dict):
         raise ValueError(f"{names.get(name, name)} {rest}") from None
 
 
-def write_manifest(path: str, command: str, config: dict, seed,
-                   inputs: dict, outputs: dict, started_at: str) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "inputs": inputs,
-        "outputs": outputs,
-        "tool_version": __version__,
-        "started_at": started_at,
-        "finished_at": _utc_now(),
-    }
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
-
-
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each writes its outputs and returns its manifest's path with its
+# ``config``, ``seed``, ``inputs`` and ``outputs``; ``main`` writes the manifest.
 # ---------------------------------------------------------------------------
 
-def _cmd_gen_data(args: argparse.Namespace) -> int:
-    started = _utc_now()
+def _cmd_gen_data(args: argparse.Namespace) -> tuple[str, dict]:
     settings = _settings(args)
     spec = _build(SyntheticSpec, {f.name: settings[SPEC_SETTINGS.get(f.name, f.name)]
                                   for f in dataclasses.fields(SyntheticSpec)}, SPEC_SETTINGS)
     bundle = generate_synthetic(spec, settings["seed"])
     save_bundle(bundle, args.out)
-    write_manifest(args.out + ".manifest.json", "gen-data", settings, settings["seed"],
-                   inputs={}, outputs={"dataset": args.out}, started_at=started)
-    return 0
+    return args.out + ".manifest.json", {
+        "config": settings, "seed": settings["seed"], "inputs": {},
+        "outputs": {"dataset": args.out}}
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    started = _utc_now()
+def _cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
     resume_state = None
     if args.resume is not None:
         ignored = [_flag(name) for name in FLAGGED["train"]
@@ -156,16 +143,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     report_path = os.path.join(args.out, "report.csv")
     tr.save_checkpoint(checkpoint_path, result.state)
     atomic_write_text(report_path, result.report.to_csv())
-    write_manifest(os.path.join(args.out, "manifest.json"), "train",
-                   dataclasses.asdict(config), config.seed,
-                   inputs={"dataset": args.data, "resume": args.resume},
-                   outputs={"checkpoint": checkpoint_path, "report": report_path},
-                   started_at=started)
-    return 0
+    return os.path.join(args.out, "manifest.json"), {
+        "config": dataclasses.asdict(config), "seed": config.seed,
+        "inputs": {"dataset": args.data, "resume": args.resume},
+        "outputs": {"checkpoint": checkpoint_path, "report": report_path}}
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    started = _utc_now()
+def _cmd_eval(args: argparse.Namespace) -> tuple[str, dict]:
     settings = _settings(args)
     n_syn, mode = settings["n_syn"], settings["mode"]
     if mode not in ("zsl", "gzsl"):
@@ -173,38 +157,27 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     state = tr.restore_checkpoint(args.checkpoint)
     bundle = load_bundle(args.data)
     tr.check_bundle(state, bundle)
-    os.makedirs(args.out, exist_ok=True)
     seed = state.config.seed
-    outputs = {}
     if mode == "zsl":
         top1, per_class = ev.evaluate_zsl(state.model, bundle, n_syn=n_syn, seed=seed)
-        text = f"top1_unseen={top1!r}\n"
-        csv = f"top1_unseen\n{top1!r}\n"
+        files = {"metrics.txt": f"top1_unseen={top1!r}\n",
+                 "metrics.csv": csv_text(("top1_unseen",), [(top1,)])}
     else:
         metrics, curve = ev.evaluate_gzsl(state.model, bundle, n_syn=n_syn, seed=seed)
         per_class = metrics.per_class_correct
-        text, csv = metrics.to_text(), metrics.to_csv()
-        curve_path = os.path.join(args.out, "curve.csv")
-        atomic_write_text(curve_path, curve.to_csv())
-        atomic_write_text(os.path.join(args.out, "curve.svg"), curve.to_svg())
-        outputs["curve"] = curve_path
-    metrics_txt = os.path.join(args.out, "metrics.txt")
-    metrics_csv = os.path.join(args.out, "metrics.csv")
-    per_class_csv = os.path.join(args.out, "per_class.csv")
-    atomic_write_text(metrics_txt, text)
-    atomic_write_text(metrics_csv, csv)
-    atomic_write_text(per_class_csv, ev.per_class_correct_csv(per_class))
-    outputs.update({"metrics_txt": metrics_txt, "metrics_csv": metrics_csv,
-                    "per_class": per_class_csv})
-    write_manifest(os.path.join(args.out, "manifest.json"), "eval",
-                   {"n_syn": n_syn, "mode": mode, "seed": seed}, seed,
-                   inputs={"dataset": args.data, "checkpoint": args.checkpoint},
-                   outputs=outputs, started_at=started)
-    return 0
+        files = {"metrics.txt": metrics.to_text(), "metrics.csv": metrics.to_csv(),
+                 "curve.csv": curve.to_csv(), "curve.svg": curve.to_svg()}
+    files["per_class.csv"] = csv_text(("class_id", "correct"), sorted(per_class.items()))
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files.items():
+        atomic_write_text(os.path.join(args.out, name), text)
+    return os.path.join(args.out, "manifest.json"), {
+        "config": {"n_syn": n_syn, "mode": mode, "seed": seed}, "seed": seed,
+        "inputs": {"dataset": args.data, "checkpoint": args.checkpoint},
+        "outputs": {EVAL_OUTPUTS[name]: os.path.join(args.out, name) for name in files}}
 
 
-def _cmd_retrieve(args: argparse.Namespace) -> int:
-    started = _utc_now()
+def _cmd_retrieve(args: argparse.Namespace) -> tuple[str, dict]:
     settings = _settings(args)
     k, n_syn = settings["k"], settings["n_syn"]
     state = tr.restore_checkpoint(args.checkpoint)
@@ -217,16 +190,12 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
         state.model, {class_id: bundle.semantic_for(class_id)}, n_syn=n_syn,
         seed=state.config.seed)
     hits = ev.retrieve_topk(prototypes, bundle.sample_visuals, class_id, k=k)
-    lines = ["rank,sample_id,similarity"]
-    for rank, (sample_id, similarity) in enumerate(hits, start=1):
-        lines.append(f"{rank},{sample_id},{similarity!r}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
-    write_manifest(args.out + ".manifest.json", "retrieve",
-                   {"class": class_id, "k": k, "n_syn": n_syn},
-                   state.config.seed,
-                   inputs={"dataset": args.data, "checkpoint": args.checkpoint},
-                   outputs={"ranking": args.out}, started_at=started)
-    return 0
+    atomic_write_text(args.out, csv_text(("rank", "sample_id", "similarity"),
+                                         [(rank, *hit) for rank, hit in enumerate(hits, 1)]))
+    return args.out + ".manifest.json", {
+        "config": {"class": class_id, "k": k, "n_syn": n_syn}, "seed": state.config.seed,
+        "inputs": {"dataset": args.data, "checkpoint": args.checkpoint},
+        "outputs": {"ranking": args.out}}
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +242,16 @@ def main(argv: list[str] | None = None) -> int:
               f"numpy >= {'.'.join(map(str, NUMPY_FLOOR))}", file=sys.stderr)
         return 1
     args = build_parser().parse_args(argv)
+    started = _utc_now()
     try:
-        return args.func(args)
+        path, manifest = args.func(args)
+        manifest.update(command=args.command, tool_version=__version__,
+                        started_at=started, finished_at=_utc_now())
+        atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
     except (ValueError, KeyError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

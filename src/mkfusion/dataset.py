@@ -1,5 +1,6 @@
 """Taxonomy datasets: species/genus/family label maps, level-relabeled views,
-visual centers, synthetic benchmark generation, and JSON persistence."""
+visual centers, synthetic benchmark generation, JSON persistence, and the
+CSV text of every output table."""
 
 from __future__ import annotations
 
@@ -100,6 +101,9 @@ class DatasetBundle:
         self._validate()
 
     def _validate(self) -> None:
+        for name, width in (("visual", self.visual_dim), ("semantic", self.semantic_dim)):
+            if width < 1:
+                raise ValueError(f"dataset dims/{name} must be at least 1, got {width}")
         if set(self.seen_ids) & set(self.unseen_ids):
             raise ValueError("seen and unseen species sets overlap")
         known = {c.species_id for c in self.classes}
@@ -113,12 +117,14 @@ class DatasetBundle:
             if repeated:
                 raise ValueError(f"{split} split: species {repeated} are listed "
                                  f"more than once")
-        split_union = set(self.seen_ids) | set(self.unseen_ids)
-        for sid in self.sample_species:
-            if int(sid) not in known:
-                raise ValueError(f"sample references unknown species {int(sid)}")
-            if int(sid) not in split_union:
-                raise ValueError(f"species {int(sid)} missing from both splits")
+        # Every split id has a record, so the first sample outside both splits
+        # is the first with an unknown species or a known one left unsplit.
+        split_union = np.asarray(self.seen_ids + self.unseen_ids, dtype=np.int64)
+        outside = self.sample_species[~np.isin(self.sample_species, split_union)]
+        if outside.size:
+            sid = int(outside[0])
+            raise ValueError(f"species {sid} missing from both splits" if sid in known
+                             else f"sample references unknown species {sid}")
         if self.sample_visuals.shape != (len(self.sample_species), self.visual_dim):
             raise ValueError("sample visual matrix does not match declared dims")
         for c in self.classes:
@@ -296,15 +302,17 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
 # Persistence
 # ---------------------------------------------------------------------------
 
-_KINDS = {int: "an integer", str: "a string", dict: "an object", list: "a list",
-          list[int]: "a list of integers"}
+_KINDS = {int: "a 64-bit integer", str: "a string", dict: "an object", list: "a list",
+          list[int]: "a list of 64-bit integers"}
 
 
 def _is_kind(value, kind) -> bool:
-    """Whether the JSON ``value`` is a ``kind``; a bool is never an int."""
+    """Whether the JSON ``value`` is a ``kind``; a bool is never an int, and
+    an int must fit in int64, as numpy stores ids and counts."""
     if kind == list[int]:
         return isinstance(value, list) and all(_is_kind(v, int) for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (kind is not int or -2**63 <= value < 2**63))
 
 
 def _require_field(mapping, name: str, kind=None):
@@ -390,6 +398,16 @@ def _atomic_write_chunks(path: str, chunks) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     _atomic_write_chunks(path, (text,))
+
+
+def csv_text(header, rows) -> str:
+    """A CSV table: the ``header`` names, then one line per row with each cell
+    the ``repr`` of a Python number; numpy scalars are converted first, so a
+    cell never reads ``np.float64(...)``."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(v.item() if isinstance(v, np.generic) else v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _array_entry(value) -> dict:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .dataset import DatasetBundle
+from .dataset import DatasetBundle, csv_text
 from .genetics import cosine_rows
 from .model import FusionGan
 
@@ -45,10 +45,8 @@ class SeenUnseenCurve:
     unseen_accuracy: Array
 
     def to_csv(self) -> str:
-        lines = ["gamma,S,U"]
-        for g, s, u in zip(self.gammas, self.seen_accuracy, self.unseen_accuracy):
-            lines.append(f"{g!r},{s!r},{u!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("gamma", "S", "U"),
+                        zip(self.gammas, self.seen_accuracy, self.unseen_accuracy))
 
     def to_svg(self) -> str:
         """Polyline of U against S on the unit square, drawn 300 x 300 inside a
@@ -89,7 +87,7 @@ class Metrics:
 
     def to_csv(self) -> str:
         names, values = zip(*self.named_values())
-        return ",".join(names) + "\n" + ",".join(map(repr, values)) + "\n"
+        return csv_text(names, [values])
 
 
 def synthesize_prototypes(model: FusionGan, semantics: dict[int, Array],
@@ -333,10 +331,3 @@ def retrieval_precision(prototypes: ClassPrototypes, pool: Array, pool_labels: A
         correct = sum(1 for i, _ in hits if int(pool_labels[i]) == int(class_id))
         scores.append(correct / len(hits))
     return float(np.mean(scores))
-
-
-def per_class_correct_csv(per_class: dict[int, int]) -> str:
-    lines = ["class_id,correct"]
-    for class_id in sorted(per_class):
-        lines.append(f"{class_id},{per_class[class_id]}")
-    return "\n".join(lines) + "\n"

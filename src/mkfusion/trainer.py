@@ -13,7 +13,7 @@ from . import autodiff as ad
 from . import genetics as gn
 from . import model as mdl
 from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_json,
-                      check_fields, compute_visual_centers, decode_array,
+                      check_fields, compute_visual_centers, csv_text, decode_array,
                       derive_knowledge_datasets, read_json_object)
 
 Array = np.ndarray
@@ -65,18 +65,13 @@ class LoopRecord:
     seconds: float
 
 
-REPORT_COLUMNS = tuple(f.name for f in fields(LoopRecord))
-
-
 @dataclass
 class TrainReport:
     rows: list[LoopRecord]
     d_updates: int
 
     def to_csv(self) -> str:
-        lines = [",".join(REPORT_COLUMNS)]
-        lines += [",".join(map(repr, astuple(r))) for r in self.rows]
-        return "\n".join(lines) + "\n"
+        return csv_text([f.name for f in fields(LoopRecord)], map(astuple, self.rows))
 
 
 def species_groups(bundle: DatasetBundle) -> dict[tuple[str, int], list[int]]:

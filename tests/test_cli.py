@@ -165,8 +165,12 @@ class TestEval:
         row = dict(zip(header.split(","), [float(v) for v in values.split(",")]))
         expected = ev.harmonic_mean(row["S"], row["U"])
         assert row["H"] == pytest.approx(expected, abs=1e-12)
-        assert (out / "curve.csv").exists()
-        assert (out / "curve.svg").exists()
+        outputs = manifest["outputs"]
+        assert all(pathlib.Path(path).exists() for path in outputs.values())
+        assert outputs["curve_svg"] == str(out / "curve.svg")
+        header, *rows = (out / "curve.csv").read_text().splitlines()
+        assert header == "gamma,S,U" and rows
+        assert all(len([float(cell) for cell in row.split(",")]) == 3 for row in rows)
         assert (out / "per_class.csv").read_text().startswith("class_id,correct")
 
     def test_zsl_mode_reports_top1_only(self, tmp_path, small_data, trained):
@@ -178,6 +182,9 @@ class TestEval:
         assert text.startswith("top1_unseen=")
         assert "H=" not in text
         assert not (out / "curve.csv").exists()
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert sorted(outputs) == ["metrics_csv", "metrics_txt", "per_class"]
+        assert all(pathlib.Path(path).exists() for path in outputs.values())
 
     def test_eval_outputs_are_reproducible(self, tmp_path, small_data, trained):
         a, b = tmp_path / "ea", tmp_path / "eb"
@@ -309,6 +316,7 @@ BAD_FIELDS = [
     ("bundle", ("classes", 0, "genus_id"), "3", "genus_id"),
     ("bundle", ("classes", 0, "name"), 5, "name"),
     ("bundle", ("samples", "species_id", 0), 0.5, "species_id"),
+    ("bundle", ("classes", 1, "genus_id"), 2**63, "genus_id"),
 ]
 
 

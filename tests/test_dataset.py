@@ -15,6 +15,7 @@ from mkfusion.dataset import (
     SyntheticSpec,
     atomic_write_json,
     compute_visual_centers,
+    csv_text,
     decode_array,
     encode_array,
     derive_knowledge_datasets,
@@ -345,10 +346,25 @@ class TestPersistence:
         path = tmp_path / "broken.json"
         for text, message in (("{not json", "malformed"), ("5", "JSON object"),
                               ('{"dims": {}}', "missing field: format_version"),
-                              ('{"format_version": 0}', "version mismatch: found 0,")):
+                              ('{"format_version": 0}', "version mismatch: found 0,"),
+                              ('{"format_version": -9223372036854775809}',
+                               "'format_version' must be a 64-bit integer")):
             path.write_text(text)
             with pytest.raises(ValueError, match=message):
                 load_bundle(str(path))
+
+    @pytest.mark.parametrize("dims", [(0, 2), (2, 0)])
+    def test_widths_below_one_rejected(self, tmp_path, dims):
+        visual, semantic = dims
+        name = "visual" if visual < 1 else "semantic"
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({
+            "format_version": BUNDLE_VERSION,
+            "dims": {"visual": visual, "semantic": semantic}, "classes": [],
+            "samples": {"species_id": [], "visual": encode_array(np.zeros((0, visual)))},
+            "splits": {"seen": [], "unseen": []}}))
+        with pytest.raises(ValueError, match=f"^dataset dims/{name} must be at least 1, got 0$"):
+            load_bundle(str(path))
 
     @pytest.mark.parametrize("a", [
         np.arange(6.0).reshape(2, 3) / 7, np.zeros((0, 3)), np.array(np.pi),
@@ -389,6 +405,12 @@ class TestPersistence:
     def test_decode_array_rejects(self, entry, message):
         with pytest.raises(ValueError, match=f"^probe: .*{message}"):
             decode_array(entry, "probe", shape=(None,))
+
+
+class TestCsvText:
+    def test_numpy_scalars_print_as_python_numbers(self):
+        rows = [(np.float64(0.5), np.int64(3)), (0.25, 7)]
+        assert csv_text(("x", "n"), rows) == "x,n\n0.5,3\n0.25,7\n"
 
 
 class TestAtomicWriteJson:

@@ -4,7 +4,7 @@ import pytest
 from mkfusion import autodiff as ad
 from mkfusion import evaluation as ev
 from mkfusion import trainer as tr
-from mkfusion.dataset import SyntheticSpec, generate_synthetic
+from mkfusion.dataset import SyntheticSpec, csv_text, generate_synthetic
 from mkfusion.model import FusionGan
 
 
@@ -434,5 +434,6 @@ class TestDrivers:
         assert metrics.per_class_correct == per_class
 
     def test_per_class_csv(self):
-        out = ev.per_class_correct_csv({3: 5, 1: 2})
+        """The per-class table ``eval`` writes: one row per class in id order."""
+        out = csv_text(("class_id", "correct"), sorted({3: 5, 1: 2}.items()))
         assert out == "class_id,correct\n1,2\n3,5\n"
