@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .autodiff import AdamState, Tensor, backward, clip_weights, no_grad
-from .dataset import (ClassRecord, DatasetBundle, LevelDataset, SyntheticSpec,
+from .dataset import (DatasetBundle, LevelDataset, SyntheticSpec,
                       compute_visual_centers, derive_knowledge_datasets,
                       generate_synthetic, load_bundle, save_bundle, LEVELS)
 from .evaluation import (ClassPrototypes, Metrics, SeenUnseenCurve, ausuc,

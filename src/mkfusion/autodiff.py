@@ -64,10 +64,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{flag})"
-
 
 class _Node:
     """One recorded operation: inputs, produced output, and its vector-Jacobian product."""

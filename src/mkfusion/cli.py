@@ -62,8 +62,9 @@ def _flag(name: str) -> str:
 
 def _settings(args: argparse.Namespace) -> dict:
     """The command's settings, each from its flag, else the config file, else
-    ``MKFUSION_SEED`` for the seed, else its default. Config values must fit
-    the default's type; a float setting given an int stores a float."""
+    ``MKFUSION_SEED`` for the seed, else its default. Every value must fit the
+    default's type, an int in int64; a float setting given an int stores a
+    float."""
     defaults = SETTINGS[args.command]
     config = {} if args.config is None else read_json_object(args.config, "config file")
     unknown = sorted(set(config) - {*defaults, *(ALIASES.get(n, n) for n in defaults)})
@@ -74,20 +75,20 @@ def _settings(args: argparse.Namespace) -> dict:
         key = ALIASES[name] if ALIASES.get(name) in config else name
         flag = getattr(args, name) if name in FLAGGED[args.command] else None
         if flag is not None:
-            value = flag
+            value, source = flag, _flag(name)
         elif key in config:
-            value = config[key]
-            if not fits(value, default):
-                raise ValueError(f"config file {args.config}: {key!r} must be "
-                                 f"{type(default).__name__}, got {value!r}")
+            value, source = config[key], f"config file {args.config}: {key!r}"
         elif name == "seed" and os.environ.get(SEED_ENV_VAR):
             try:
-                value = int(os.environ[SEED_ENV_VAR])
+                value, source = int(os.environ[SEED_ENV_VAR]), SEED_ENV_VAR
             except ValueError:
                 raise ValueError(f"{SEED_ENV_VAR} must be an integer, got "
                                  f"{os.environ[SEED_ENV_VAR]!r}") from None
         else:
-            value = default
+            value, source = default, name
+        if not fits(value, default):
+            kind = "int64" if type(default) is int else type(default).__name__
+            raise ValueError(f"{source} must be {kind}, got {value!r}")
         if name == "seed" and value < 0:
             raise ValueError(f"seed must be >= 0, got {value}")
         values[name] = float(value) if isinstance(default, float) else value
@@ -184,8 +185,6 @@ def _cmd_retrieve(args: argparse.Namespace) -> tuple[str, dict]:
     bundle = load_bundle(args.data)
     tr.check_bundle(state, bundle)
     class_id = args.class_id
-    if class_id not in bundle.by_species:
-        raise ValueError(f"unknown class id: {class_id}")
     prototypes = ev.synthesize_prototypes(
         state.model, {class_id: bundle.semantic_for(class_id)}, n_syn=n_syn,
         seed=state.config.seed)

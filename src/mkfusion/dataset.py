@@ -1,4 +1,4 @@
-"""Taxonomy datasets: species/genus/family label maps, level-relabeled views,
+"""Taxonomy datasets: the class table as arrays, level-relabeled views,
 visual centers, synthetic benchmark generation, JSON persistence, and the
 CSV text of every output table."""
 
@@ -27,8 +27,9 @@ _BOUNDS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
 def fits(value, default) -> bool:
     """Whether ``value`` may stand for a setting whose default is ``default``:
     the default's type, an int for a float, a list of fitting items for a
-    tuple; a bool never fits."""
-    if isinstance(value, bool):
+    tuple; a bool never fits, and an int must fit in int64, as numpy stores
+    ids, counts and sizes."""
+    if isinstance(value, bool) or isinstance(value, int) and not -2**63 <= value < 2**63:
         return False
     if isinstance(default, tuple):
         return (isinstance(value, (tuple, list)) and len(value) == len(default)
@@ -44,7 +45,8 @@ def check_fields(obj) -> None:
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not fits(value, f.default):
-            raise ValueError(f"field {f.name!r} must be {f.type}, got {value!r}")
+            kind = "int64" if type(f.default) is int else f.type
+            raise ValueError(f"field {f.name!r} must be {kind}, got {value!r}")
         if isinstance(f.default, (float, tuple)):
             value = type(f.default)(value)
             setattr(obj, f.name, value)
@@ -57,57 +59,60 @@ def check_fields(obj) -> None:
                 raise ValueError(f"{f.name} must be {symbol} {bound}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ClassRecord:
-    """One species with its taxonomy position and per-class semantic vector."""
-
-    species_id: int
-    genus_id: int
-    family_id: int
-    name: str
-    semantic: Array
-
-    def __post_init__(self):
-        if min(self.species_id, self.genus_id, self.family_id) < 0:
-            raise ValueError("class ids must be non-negative")
-        object.__setattr__(self, "semantic", np.asarray(self.semantic, dtype=np.float64))
-        if not np.all(np.isfinite(self.semantic)):
-            raise ValueError(f"class {self.species_id}: non-finite semantic vector")
-
-    def level_id(self, level: str) -> int:
-        if level not in LEVELS:
-            raise ValueError(f"unknown level: {level!r}")
-        return getattr(self, f"{level}_id")
-
-
 class DatasetBundle:
-    """Class records plus sample arrays split into seen and unseen species.
+    """The class table plus sample arrays split into seen and unseen species.
 
+    Row ``i`` of the class table, in file order, is species ``taxonomy[i, 0]``
+    of genus ``taxonomy[i, 1]`` and family ``taxonomy[i, 2]`` (the ``LEVELS``
+    columns), named ``names[i]``, with semantic vector ``semantics[i]``.
     Samples are stored as parallel arrays (species id per row, visual vector
     per row). Seen and unseen species sets are disjoint and every sample's
-    species belongs to exactly one of them.
+    species belongs to exactly one of them. The visual and semantic widths
+    are those of the arrays.
     """
 
-    def __init__(self, classes: list[ClassRecord], sample_species: Array,
-                 sample_visuals: Array, seen_ids: list[int], unseen_ids: list[int],
-                 visual_dim: int, semantic_dim: int):
-        self.classes = list(classes)
+    def __init__(self, taxonomy: Array, names: list[str], semantics: Array,
+                 sample_species: Array, sample_visuals: Array, seen_ids: list[int],
+                 unseen_ids: list[int]):
+        self.taxonomy = np.asarray(taxonomy, dtype=np.int64)
+        self.names = list(names)
+        self.semantics = np.asarray(semantics, dtype=np.float64)
         self.sample_species = np.asarray(sample_species, dtype=np.int64)
         self.sample_visuals = np.asarray(sample_visuals, dtype=np.float64)
         self.seen_ids = sorted(int(i) for i in seen_ids)
         self.unseen_ids = sorted(int(i) for i in unseen_ids)
-        self.visual_dim = int(visual_dim)
-        self.semantic_dim = int(semantic_dim)
         self._validate()
 
+    @property
+    def visual_dim(self) -> int:
+        return self.sample_visuals.shape[1]
+
+    @property
+    def semantic_dim(self) -> int:
+        return self.semantics.shape[1]
+
     def _validate(self) -> None:
+        n = len(self.names)
+        if (self.taxonomy.shape != (n, len(LEVELS)) or self.semantics.ndim != 2
+                or len(self.semantics) != n):
+            raise ValueError(f"class table: taxonomy {self.taxonomy.shape}, {n} names "
+                             f"and semantics {self.semantics.shape} do not match")
+        visuals = self.sample_visuals
+        if visuals.ndim != 2 or visuals.shape[:1] != self.sample_species.shape:
+            raise ValueError("sample visual matrix does not match the sample species")
         for name, width in (("visual", self.visual_dim), ("semantic", self.semantic_dim)):
             if width < 1:
                 raise ValueError(f"dataset dims/{name} must be at least 1, got {width}")
+        if (self.taxonomy < 0).any():
+            raise ValueError("class ids must be non-negative")
+        finite = np.isfinite(self.semantics).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"class {self.taxonomy[np.argmin(finite), 0]}: "
+                             f"non-finite semantic vector")
         if set(self.seen_ids) & set(self.unseen_ids):
             raise ValueError("seen and unseen species sets overlap")
-        known = {c.species_id for c in self.classes}
-        if len(known) != len(self.classes):
+        known = set(self.taxonomy[:, 0].tolist())
+        if len(known) != n:
             raise ValueError("duplicate species id in class records")
         for split, ids in (("seen", self.seen_ids), ("unseen", self.unseen_ids)):
             if set(ids) - known:
@@ -125,18 +130,14 @@ class DatasetBundle:
             sid = int(outside[0])
             raise ValueError(f"species {sid} missing from both splits" if sid in known
                              else f"sample references unknown species {sid}")
-        if self.sample_visuals.shape != (len(self.sample_species), self.visual_dim):
-            raise ValueError("sample visual matrix does not match declared dims")
-        for c in self.classes:
-            if c.semantic.shape != (self.semantic_dim,):
-                raise ValueError(f"class {c.species_id}: semantic dim "
-                                 f"{c.semantic.shape} != ({self.semantic_dim},)")
         if not np.all(np.isfinite(self.sample_visuals)):
             raise ValueError("non-finite sample visuals")
 
-    @cached_property
-    def by_species(self) -> dict[int, ClassRecord]:
-        return {c.species_id: c for c in self.classes}
+    def rows_of(self, species_ids) -> Array:
+        """The class-table row of each of ``species_ids``, all known species."""
+        ids = self.taxonomy[:, 0]
+        order = np.argsort(ids)
+        return order[np.searchsorted(ids, species_ids, sorter=order)]
 
     @cached_property
     def _seen_mask(self) -> Array:
@@ -157,7 +158,9 @@ class DatasetBundle:
         return self.sample_species[~self._seen_mask]
 
     def semantic_for(self, species_id: int) -> Array:
-        return self.by_species[int(species_id)].semantic
+        if species_id not in self.taxonomy[:, 0]:
+            raise ValueError(f"unknown class id: {species_id}")
+        return self.semantics[self.rows_of(species_id)]
 
 
 @dataclass
@@ -194,17 +197,10 @@ def derive_knowledge_datasets(bundle: DatasetBundle) -> dict[str, LevelDataset]:
     All three share the same sample rows and per-sample species semantics;
     they differ only in the class id column.
     """
-    classes = bundle.classes
-    ids = np.array([[c.level_id(level) for level in LEVELS] for c in classes],
-                   dtype=np.int64).reshape(len(classes), len(LEVELS))
-    semantics = np.array([c.semantic for c in classes]).reshape(len(classes),
-                                                                  bundle.semantic_dim)
-    # Each seen sample's row in ``classes``, found by its species id.
-    order = np.argsort(ids[:, 0])
-    rows = order[np.searchsorted(ids[:, 0], bundle.seen_sample_species(), sorter=order)]
-    visuals = bundle.seen_visuals()
-    return {level: LevelDataset(visuals=visuals, labels=ids[rows, i],
-                                semantics=semantics[rows])
+    rows = bundle.rows_of(bundle.seen_sample_species())
+    visuals, semantics = bundle.seen_visuals(), bundle.semantics[rows]
+    return {level: LevelDataset(visuals=visuals, labels=bundle.taxonomy[rows, i],
+                                semantics=semantics)
             for i, level in enumerate(LEVELS)}
 
 
@@ -272,10 +268,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
     latents = np.concatenate(parts, axis=1)
     # One matrix-vector product per species: a batched product may round
     # differently, and the semantics' bits are part of the dataset contract.
-    classes = [ClassRecord(species_id=c, genus_id=int(genus[c]), family_id=int(family[c]),
-                           name=f"species-{c:03d}",
-                           semantic=semantic_map @ latents[c] + semantic_noise[c])
-               for c in range(n_species)]
+    semantics = np.stack([semantic_map @ row for row in latents]) + semantic_noise
 
     n_unseen = min(max(int(round(n_species * spec.unseen_fraction)), 1), n_species - 1)
     order = rng.permutation(n_species)
@@ -292,10 +285,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
 
     sample_species = np.repeat(np.arange(n_species), spec.samples_per_species)
     noise = rng.normal(0.0, spec.noise_std, (len(sample_species), v))
-    return DatasetBundle(classes=classes, sample_species=sample_species,
+    return DatasetBundle(taxonomy=np.stack([np.arange(n_species), genus, family], axis=1),
+                         names=[f"species-{c:03d}" for c in range(n_species)],
+                         semantics=semantics, sample_species=sample_species,
                          sample_visuals=means[sample_species] + noise,
-                         seen_ids=seen, unseen_ids=unseen,
-                         visual_dim=v, semantic_dim=t)
+                         seen_ids=seen, unseen_ids=unseen)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +301,10 @@ _KINDS = {int: "a 64-bit integer", str: "a string", dict: "an object", list: "a 
 
 
 def _is_kind(value, kind) -> bool:
-    """Whether the JSON ``value`` is a ``kind``; a bool is never an int, and
-    an int must fit in int64, as numpy stores ids and counts."""
+    """Whether the JSON ``value`` is a ``kind``, as ``fits`` decides it."""
     if kind == list[int]:
-        return isinstance(value, list) and all(_is_kind(v, int) for v in value)
-    return (isinstance(value, kind) and not isinstance(value, bool)
-            and (kind is not int or -2**63 <= value < 2**63))
+        return isinstance(value, list) and all(fits(v, 0) for v in value)
+    return fits(value, kind())
 
 
 def _require_field(mapping, name: str, kind=None):
@@ -325,6 +317,15 @@ def _require_field(mapping, name: str, kind=None):
     value = mapping[name]
     if kind is not None and not _is_kind(value, kind):
         raise ValueError(f"field {name!r} must be {_KINDS[kind]}, got {value!r:.40}")
+    return value
+
+
+def require_count(mapping, name: str, least: int, where: str) -> int:
+    """The integer field ``mapping[name]``, which must be at least ``least``;
+    ``where`` names the field in errors."""
+    value = _require_field(mapping, name, int)
+    if value < least:
+        raise ValueError(f"{where} must be at least {least}, got {value}")
     return value
 
 
@@ -435,9 +436,10 @@ def save_bundle(bundle: DatasetBundle, path: str) -> None:
         "format_version": BUNDLE_VERSION,
         "dims": {"visual": bundle.visual_dim, "semantic": bundle.semantic_dim},
         "classes": [
-            {"species_id": c.species_id, "genus_id": c.genus_id,
-             "family_id": c.family_id, "name": c.name, "semantic": c.semantic}
-            for c in bundle.classes
+            {"species_id": species, "genus_id": genus, "family_id": family,
+             "name": name, "semantic": semantic}
+            for (species, genus, family), name, semantic
+            in zip(bundle.taxonomy.tolist(), bundle.names, bundle.semantics)
         ],
         "samples": {"species_id": bundle.sample_species.tolist(),
                     "visual": bundle.sample_visuals},
@@ -455,26 +457,23 @@ def load_bundle(path: str) -> DatasetBundle:
     classes_raw = _require_field(document, "classes", list)
     samples = _require_field(document, "samples", dict)
     splits = _require_field(document, "splits", dict)
-    visual_dim = _require_field(dims, "visual", int)
-    semantic_dim = _require_field(dims, "semantic", int)
-    classes = []
+    visual_dim, semantic_dim = (require_count(dims, name, 1, f"dataset dims/{name}")
+                                for name in ("visual", "semantic"))
+    taxonomy = np.empty((len(classes_raw), len(LEVELS)), dtype=np.int64)
+    names = []
+    semantics = np.empty((len(classes_raw), semantic_dim))
     for i, c in enumerate(classes_raw):
         try:
-            classes.append(ClassRecord(
-                species_id=_require_field(c, "species_id", int),
-                genus_id=_require_field(c, "genus_id", int),
-                family_id=_require_field(c, "family_id", int),
-                name=_require_field(c, "name", str),
-                semantic=decode_array(_require_field(c, "semantic"), "semantic",
-                                      shape=(semantic_dim,))))
+            taxonomy[i] = [_require_field(c, f"{level}_id", int) for level in LEVELS]
+            names.append(_require_field(c, "name", str))
+            semantics[i] = decode_array(_require_field(c, "semantic"), "semantic",
+                                        shape=(semantic_dim,))
         except ValueError as err:
             raise ValueError(f"classes[{i}]: {err}") from None
     species = _require_field(samples, "species_id", list[int])
     visuals = decode_array(_require_field(samples, "visual"), "samples/visual",
                            shape=(len(species), visual_dim))
-    return DatasetBundle(classes=classes,
-                         sample_species=np.asarray(species, dtype=np.int64),
-                         sample_visuals=visuals,
+    return DatasetBundle(taxonomy=taxonomy, names=names, semantics=semantics,
+                         sample_species=species, sample_visuals=visuals,
                          seen_ids=_require_field(splits, "seen", list[int]),
-                         unseen_ids=_require_field(splits, "unseen", list[int]),
-                         visual_dim=visual_dim, semantic_dim=semantic_dim)
+                         unseen_ids=_require_field(splits, "unseen", list[int]))

@@ -297,7 +297,7 @@ def evaluate_gzsl(model: FusionGan, bundle: DatasetBundle, n_syn: int = DEFAULT_
     ``top1_unseen`` reuses the unseen prototypes: each class draws its own
     noise stream, so they equal what ``evaluate_zsl`` synthesizes.
     ``fusion_mode`` is checked as in ``synthesize_prototypes``."""
-    semantics = {c.species_id: c.semantic for c in bundle.classes}
+    semantics = dict(zip(bundle.taxonomy[:, 0].tolist(), bundle.semantics))
     prototypes = synthesize_prototypes(model, semantics, n_syn, seed, fusion_mode)
     seen_x, seen_y = bundle.seen_visuals(), bundle.seen_sample_species()
     unseen_x, unseen_y = bundle.unseen_visuals(), bundle.unseen_sample_species()

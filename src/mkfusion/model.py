@@ -3,11 +3,16 @@ and the adaptive fusion module with its normalized importance weights."""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .dataset import LEVELS
+
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 Array = np.ndarray
 
@@ -151,30 +156,28 @@ def fuse_baseline(features: dict[str, Tensor]) -> Tensor:
 
 
 class FusionGan:
-    """The whole generative stack bound to one seen-class label space."""
+    """The whole generative stack bound to one seen-class label space, with
+    the widths, seed and fusion mode of a checked ``TrainConfig``."""
 
-    def __init__(self, visual_dim: int, semantic_dim: int, n_classes: int,
-                 noise_dim: int = 32, gen_hidden: int = 256,
-                 disc_hidden: tuple[int, int] = (256, 128), fusion_hidden: int = 64,
-                 alpha: float = 0.2, seed: int = 0, fusion_mode: str = "adaptive"):
+    def __init__(self, config: TrainConfig, visual_dim: int, semantic_dim: int,
+                 n_classes: int):
         if n_classes < 1:
             raise ValueError("model needs at least one seen class")
-        if fusion_mode not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode: {fusion_mode!r}")
         self.visual_dim = visual_dim
         self.semantic_dim = semantic_dim
         self.n_classes = n_classes
-        self.noise_dim = noise_dim
-        self.fusion_mode = fusion_mode
-        rng = np.random.default_rng(seed)
+        self.noise_dim = config.noise_dim
+        self.fusion_mode = config.fusion_mode
+        alpha = config.alpha
+        rng = np.random.default_rng(config.seed)
         self.generators = {
-            level: GeneratorNet(level, semantic_dim, noise_dim, visual_dim,
-                                gen_hidden, alpha, rng)
+            level: GeneratorNet(level, semantic_dim, config.noise_dim, visual_dim,
+                                config.gen_hidden, alpha, rng)
             for level in LEVELS
         }
-        self.discriminator = DiscriminatorNet(visual_dim, n_classes, disc_hidden[0],
-                                              disc_hidden[1], alpha, rng)
-        self.fusion = FusionNet(visual_dim, fusion_hidden, alpha, rng)
+        self.discriminator = DiscriminatorNet(visual_dim, n_classes, *config.disc_hidden,
+                                              alpha, rng)
+        self.fusion = FusionNet(visual_dim, config.fusion_hidden, alpha, rng)
 
     def named_params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

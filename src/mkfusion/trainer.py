@@ -14,7 +14,7 @@ from . import genetics as gn
 from . import model as mdl
 from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_json,
                       check_fields, compute_visual_centers, csv_text, decode_array,
-                      derive_knowledge_datasets, read_json_object)
+                      derive_knowledge_datasets, read_json_object, require_count)
 
 Array = np.ndarray
 
@@ -77,24 +77,9 @@ class TrainReport:
 def species_groups(bundle: DatasetBundle) -> dict[tuple[str, int], list[int]]:
     """The class-head labels (indices into the sorted ``bundle.seen_ids``) of the
     seen species grouped under every (level, class id) key, in species-id order."""
-    groups: dict[tuple[str, int], list[int]] = {}
-    for label, sid in enumerate(bundle.seen_ids):
-        record = bundle.by_species[sid]
-        for level in LEVELS:
-            groups.setdefault((level, record.level_id(level)), []).append(label)
-    return groups
-
-
-def build_model(config: TrainConfig, visual_dim: int, semantic_dim: int,
-                n_classes: int) -> mdl.FusionGan:
-    return mdl.FusionGan(visual_dim=visual_dim, semantic_dim=semantic_dim,
-                         n_classes=n_classes, noise_dim=config.noise_dim,
-                         gen_hidden=config.gen_hidden,
-                         disc_hidden=config.disc_hidden,
-                         fusion_hidden=config.fusion_hidden,
-                         alpha=config.alpha,
-                         seed=config.seed,
-                         fusion_mode=config.fusion_mode)
+    ids = bundle.taxonomy[bundle.rows_of(bundle.seen_ids)]
+    return {(level, class_id): np.flatnonzero(ids[:, i] == class_id).tolist()
+            for i, level in enumerate(LEVELS) for class_id in np.unique(ids[:, i]).tolist()}
 
 
 def build_optimizers(model: mdl.FusionGan, lr: float) -> dict[str, ad.AdamState]:
@@ -122,8 +107,8 @@ def initial_state(config: TrainConfig, bundle: DatasetBundle) -> CheckpointData:
     """The state of a fresh run on ``bundle``'s seen split, before loop 1."""
     if not bundle.seen_ids:
         raise ValueError("training requires at least one seen species")
-    model = build_model(config, bundle.visual_dim, bundle.semantic_dim,
-                        len(bundle.seen_ids))
+    model = mdl.FusionGan(config, bundle.visual_dim, bundle.semantic_dim,
+                          len(bundle.seen_ids))
     return CheckpointData(config=config, model=model, pools=gn.Pools(), loop_index=0,
                           rng=np.random.default_rng([config.seed, 1]),
                           optimizers=build_optimizers(model, config.learning_rate),
@@ -326,15 +311,6 @@ def save_checkpoint(path: str, state: CheckpointData) -> None:
     })
 
 
-def _require_count(mapping, name: str, least: int, where: str) -> int:
-    """The integer field ``mapping[name]``, which must be at least ``least``;
-    ``where`` names the field in errors."""
-    value = _require_field(mapping, name, int)
-    if value < least:
-        raise ValueError(f"checkpoint {where} must be at least {least}, got {value}")
-    return value
-
-
 _ENHANCED_KEY = re.compile(f"enhanced/({'|'.join(LEVELS)})/(0|[1-9][0-9]*)")
 
 
@@ -357,13 +333,13 @@ def restore_checkpoint(path: str) -> CheckpointData:
     except ValueError as err:
         raise ValueError(f"checkpoint {path} config: {err}") from None
     dims = _require_field(document, "dims", dict)
-    visual, semantic, n_classes = (_require_count(dims, name, 1, f"dims/{name}")
+    visual, semantic, n_classes = (require_count(dims, name, 1, f"checkpoint dims/{name}")
                                    for name in ("visual", "semantic", "n_classes"))
     seen_species = _require_field(document, "seen_species", list[int])
     if n_classes != len(seen_species):
         raise ValueError(f"checkpoint dims/n_classes is {n_classes}, but "
                          f"seen_species lists {len(seen_species)} species")
-    model = build_model(config, visual, semantic, n_classes)
+    model = mdl.FusionGan(config, visual, semantic, n_classes)
     params = model.named_params()
     stored = _require_field(document, "params", dict)
     if set(stored) != set(params):
@@ -374,8 +350,8 @@ def restore_checkpoint(path: str) -> CheckpointData:
     optimizers = build_optimizers(model, config.learning_rate)
     for group, opt in optimizers.items():
         state = _require_field(adam_doc, group, dict)
-        opt.step_count = _require_count(state, "step_count", 0,
-                                        f"adam/{group}/step_count")
+        opt.step_count = require_count(state, "step_count", 0,
+                                       f"checkpoint adam/{group}/step_count")
         for key in ("m", "v"):
             entries = _require_field(state, key, list)
             moments = getattr(opt, key)
@@ -404,6 +380,6 @@ def restore_checkpoint(path: str) -> CheckpointData:
     except (TypeError, ValueError, KeyError) as err:
         raise ValueError(f"checkpoint rng_state: {err!r}") from None
     return CheckpointData(config=config, model=model, pools=pools,
-                          loop_index=_require_count(document, "loop_index", 0,
-                                                    "loop_index"),
+                          loop_index=require_count(document, "loop_index", 0,
+                                                   "checkpoint loop_index"),
                           rng=rng, optimizers=optimizers, seen_species=seen_species)

@@ -66,9 +66,9 @@ class TestCriterion1GradientCorrectness:
 
             assert_grads_match(loss_fn, list(inputs), rng)
 
-        model = mdl.FusionGan(visual_dim=8, semantic_dim=6, n_classes=5,
-                              noise_dim=4, gen_hidden=16, disc_hidden=(14, 12),
-                              fusion_hidden=8, seed=3)
+        model = mdl.FusionGan(tr.TrainConfig(noise_dim=4, gen_hidden=16,
+                                             disc_hidden=(14, 12), fusion_hidden=8,
+                                             seed=3), 8, 6, 5)
         n = 4
         t = rng.normal(0, 1, (n, 6))
         z = rng.standard_normal((n, 4))
@@ -130,9 +130,9 @@ class TestCriterion1GradientCorrectness:
 class TestCriterion2FusionWeights:
     def test_weight_distribution_and_baseline_agreement(self):
         rng = np.random.default_rng(2)
-        model = mdl.FusionGan(visual_dim=8, semantic_dim=6, n_classes=5,
-                              noise_dim=4, gen_hidden=16, disc_hidden=(14, 12),
-                              fusion_hidden=8, seed=4)
+        model = mdl.FusionGan(tr.TrainConfig(noise_dim=4, gen_hidden=16,
+                                             disc_hidden=(14, 12), fusion_hidden=8,
+                                             seed=4), 8, 6, 5)
         features = {level: ad.Tensor(rng.normal(0, 2, (1000, 8)))
                     for level in LEVELS}
         _, weights = mdl.fuse(model.fusion, features)
@@ -232,7 +232,7 @@ class TestCriterion5EndToEnd:
     def test_desk_scale_gzsl_quality(self):
         started = time.perf_counter()
         bundle = generate_synthetic(SyntheticSpec(), seed=1)
-        assert len(bundle.classes) == 36 and len(bundle.unseen_ids) == 6
+        assert len(bundle.names) == 36 and len(bundle.unseen_ids) == 6
         result = tr.train(tr.TrainConfig(steps=300, seed=1), bundle)
         assert result.report.d_updates == 1500
         metrics, _ = ev.evaluate_gzsl(result.model, bundle, n_syn=60, seed=1)
@@ -342,9 +342,9 @@ class TestCriterion9ZslContract:
                 return super().unseen_sample_species()
 
         base = small_bundle()
-        audited = AuditedBundle(base.classes, base.sample_species,
-                                base.sample_visuals, base.seen_ids, base.unseen_ids,
-                                base.visual_dim, base.semantic_dim)
+        audited = AuditedBundle(base.taxonomy, base.names, base.semantics,
+                                base.sample_species, base.sample_visuals,
+                                base.seen_ids, base.unseen_ids)
         config = small_training_config(steps=6, n_nfg=0)
         result = tr.train(config, audited)
         assert result.pools.enhanced.size + result.pools.novel.size > 0

@@ -60,7 +60,7 @@ class TestGenData:
         path = tmp_path / "default.json"
         assert run("gen-data", "--out", path) == 0
         bundle = load_bundle(str(path))
-        assert len(bundle.classes) == 36
+        assert len(bundle.names) == 36
         assert len(bundle.unseen_ids) == 6
         manifest = json.loads((tmp_path / "default.json.manifest.json").read_text())
         assert manifest["command"] == "gen-data"
@@ -96,7 +96,7 @@ class TestGenData:
                                       "seed": 2, "sigma_family": 2}))
         path = tmp_path / "cfg.json"
         assert run("gen-data", "--config", config, "--out", path) == 0
-        assert len(load_bundle(str(path)).classes) == 8
+        assert len(load_bundle(str(path)).names) == 8
         manifest = json.loads((tmp_path / "cfg.json.manifest.json").read_text())
         assert repr(manifest["config"]["sigma_family"]) == "2.0"
 
@@ -294,6 +294,12 @@ BAD_VALUES = [
     ("gen-data", None, ["--genera", 0], None, "genera must be >= 1, got 0"),
     ("gen-data", None, ["--vis-dim", 0], None, "vis_dim must be >= 1, got 0"),
     ("gen-data", {"unseen_frac": 1.5}, [], None, "unseen_frac must be < 1, got 1.5"),
+    # An int setting must fit in int64, from a flag or a config file.
+    ("gen-data", None, ["--samples", 2**63], None,
+     "--samples must be int64, got 9223372036854775808"),
+    ("train", {"noise_dim": 2**63}, [], None,
+     "'noise_dim' must be int64, got 9223372036854775808"),
+    ("eval", {"n_syn": 2**63}, [], None, "'n_syn' must be int64, got 9223372036854775808"),
 ]
 
 # A field of a saved file set to a value of the wrong JSON type, with the

@@ -9,7 +9,6 @@ import pytest
 from mkfusion import dataset
 from mkfusion.dataset import (
     BUNDLE_VERSION,
-    ClassRecord,
     DatasetBundle,
     LevelDataset,
     SyntheticSpec,
@@ -43,14 +42,20 @@ def saved_bytes(bundle, tmp_path):
 
 def tiny_bundle():
     """One family, one genus, two seen species, two samples each."""
-    classes = [
-        ClassRecord(0, 0, 0, "a", np.array([1.0, 0.0])),
-        ClassRecord(1, 0, 0, "b", np.array([0.0, 1.0])),
-    ]
     species = np.array([0, 0, 1, 1])
     visuals = np.array([[0.0, 0.0], [2.0, 4.0], [1.0, 1.0], [3.0, 3.0]])
-    return DatasetBundle(classes, species, visuals, seen_ids=[0, 1], unseen_ids=[],
-                         visual_dim=2, semantic_dim=2)
+    return DatasetBundle([[0, 0, 0], [1, 0, 0]], ["a", "b"], np.eye(2), species, visuals,
+                         seen_ids=[0, 1], unseen_ids=[])
+
+
+def gapped_bundle():
+    """Class rows out of id order, ids with gaps, and an unseen species; each
+    species' semantic value is its id."""
+    species = np.array([5, 7, 3, 5, 7])
+    visuals = np.arange(10.0).reshape(5, 2) / 7
+    return DatasetBundle([[7, 2, 1], [3, 1, 0], [5, 1, 0]], ["g", "c", "e"],
+                         [[7.0], [3.0], [5.0]], species, visuals, seen_ids=[3, 7],
+                         unseen_ids=[5])
 
 
 class TestDerive:
@@ -64,7 +69,7 @@ class TestDerive:
         spec = SyntheticSpec(families=5, genera_per_family=8, species_per_genus=5,
                              samples_per_species=2, visual_dim=8, semantic_dim=6)
         bundle = generate_synthetic(spec, seed=3)
-        assert len(bundle.classes) == 200
+        assert len(bundle.names) == 200
         datasets = derive_knowledge_datasets(bundle)
         n_seen_samples = len(bundle.seen_sample_species())
         for level in LEVELS:
@@ -74,8 +79,9 @@ class TestDerive:
         assert datasets["family"].n_classes < datasets["genus"].n_classes
 
     def test_empty_bundle_gives_empty_datasets(self):
-        bundle = DatasetBundle([], np.zeros(0, dtype=np.int64), np.zeros((0, 3)),
-                               seen_ids=[], unseen_ids=[], visual_dim=3, semantic_dim=2)
+        bundle = DatasetBundle(np.zeros((0, 3)), [], np.zeros((0, 2)),
+                               np.zeros(0, dtype=np.int64), np.zeros((0, 3)),
+                               seen_ids=[], unseen_ids=[])
         datasets = derive_knowledge_datasets(bundle)
         for level in LEVELS:
             assert len(datasets[level]) == 0
@@ -90,23 +96,18 @@ class TestDerive:
             ds = datasets[level]
             sizes = [len(idx) for idx in ds.indices_by_class.values()]
             assert sum(sizes) == len(ds)
-            seen_records = [bundle.by_species[s] for s in bundle.seen_ids]
-            assert set(ds.class_ids) == {r.level_id(level) for r in seen_records}
+            seen_rows = np.isin(bundle.taxonomy[:, 0], bundle.seen_ids)
+            assert set(ds.class_ids) == set(bundle.taxonomy[seen_rows, LEVELS.index(level)])
 
     def test_labels_follow_each_samples_record(self):
-        # Class records out of id order, ids with gaps, and an unseen species.
-        classes = [ClassRecord(7, 2, 1, "g", np.array([7.0])),
-                   ClassRecord(3, 1, 0, "c", np.array([3.0])),
-                   ClassRecord(5, 1, 0, "e", np.array([5.0]))]
-        species = np.array([5, 7, 3, 5, 7])
-        bundle = DatasetBundle(classes, species, np.zeros((5, 1)), seen_ids=[3, 7],
-                               unseen_ids=[5], visual_dim=1, semantic_dim=1)
+        bundle = gapped_bundle()
         datasets = derive_knowledge_datasets(bundle)
-        for level in LEVELS:
-            records = [bundle.by_species[int(s)] for s in bundle.seen_sample_species()]
-            assert datasets[level].labels.tolist() == [r.level_id(level) for r in records]
+        table = {row[0]: row for row in bundle.taxonomy.tolist()}
+        records = [table[s] for s in bundle.seen_sample_species().tolist()]
+        for i, level in enumerate(LEVELS):
+            assert datasets[level].labels.tolist() == [r[i] for r in records]
             np.testing.assert_array_equal(datasets[level].semantics,
-                                          [r.semantic for r in records])
+                                          [[r[0]] for r in records])
 
     def test_semantics_stay_species_level(self):
         bundle = tiny_bundle()
@@ -121,16 +122,27 @@ class TestDerive:
         ([0, 0], [1], "seen split: species [0] are listed more than once"),
         ([0], [1, 1, 1], "unseen split: species [1] are listed more than once")])
     def test_split_ids_must_be_known_and_distinct(self, seen, unseen, message):
-        classes = [ClassRecord(i, 0, 0, f"s{i}", np.zeros(2)) for i in (0, 1)]
         with pytest.raises(ValueError, match=re.escape(message)):
-            DatasetBundle(classes, np.array([0, 1]), np.zeros((2, 2)),
-                          seen_ids=seen, unseen_ids=unseen, visual_dim=2, semantic_dim=2)
+            DatasetBundle([[0, 0, 0], [1, 0, 0]], ["s0", "s1"], np.zeros((2, 2)),
+                          np.array([0, 1]), np.zeros((2, 2)), seen_ids=seen, unseen_ids=unseen)
+
+    @pytest.mark.parametrize("taxonomy,semantics,message", [
+        ([[0, 0, 0], [1, -1, 0]], [[0.0], [0.0]], "class ids must be non-negative"),
+        ([[0, 0, 0], [1, 0, 0]], [[0.0], [np.nan]], "class 1: non-finite semantic vector"),
+        ([[0, 0, 0], [0, 0, 0]], [[0.0], [0.0]], "duplicate species id in class records"),
+        ([[0, 0, 0], [1, 0, 0]], np.zeros((2, 0)),
+         "dataset dims/semantic must be at least 1, got 0"),
+        ([[0, 0], [1, 0]], [[0.0], [0.0]], "class table: taxonomy (2, 2), 2 names"),
+        ([[0, 0, 0], [1, 0, 0]], [[0.0]], "semantics (1, 1) do not match")])
+    def test_class_table_checked(self, taxonomy, semantics, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DatasetBundle(taxonomy, ["a", "b"], semantics, np.array([0]), np.zeros((1, 2)),
+                          seen_ids=[0], unseen_ids=[])
 
     def test_unknown_species_rejected(self):
-        classes = [ClassRecord(0, 0, 0, "a", np.zeros(2))]
         with pytest.raises(ValueError, match="unknown species"):
-            DatasetBundle(classes, np.array([5]), np.zeros((1, 2)),
-                          seen_ids=[0], unseen_ids=[], visual_dim=2, semantic_dim=2)
+            DatasetBundle([[0, 0, 0]], ["a"], np.zeros((1, 2)), np.array([5]),
+                          np.zeros((1, 2)), seen_ids=[0], unseen_ids=[])
 
 
 class TestCenters:
@@ -151,8 +163,7 @@ class TestCenters:
         datasets = derive_knowledge_datasets(bundle)
         family_centers = compute_visual_centers(datasets["family"])
         genus_ds = datasets["genus"]
-        family_of_genus = {bundle.by_species[s].genus_id: bundle.by_species[s].family_id
-                           for s in bundle.seen_ids}
+        family_of_genus = dict(bundle.taxonomy[:, 1:].tolist())
         for fam, center in family_centers.items():
             total = np.zeros(bundle.visual_dim)
             count = 0
@@ -200,7 +211,7 @@ OUT_OF_RANGE = [
 class TestSynthetic:
     def test_default_counts(self):
         bundle = generate_synthetic(SyntheticSpec(), seed=1)
-        assert len(bundle.classes) == 36
+        assert len(bundle.names) == 36
         assert len(bundle.sample_species) == 720
         assert len(bundle.unseen_ids) == 6
         assert not set(bundle.seen_ids) & set(bundle.unseen_ids)
@@ -223,8 +234,9 @@ class TestSynthetic:
     def test_every_genus_keeps_a_seen_species(self):
         for seed in range(5):
             bundle = generate_synthetic(SyntheticSpec(), seed=seed)
-            seen_genera = {bundle.by_species[s].genus_id for s in bundle.seen_ids}
-            all_genera = {c.genus_id for c in bundle.classes}
+            seen_rows = np.isin(bundle.taxonomy[:, 0], bundle.seen_ids)
+            seen_genera = set(bundle.taxonomy[seen_rows, 1].tolist())
+            all_genera = set(bundle.taxonomy[:, 1].tolist())
             assert seen_genera == all_genera
 
     def test_true_center_classifier_on_seen(self):
@@ -282,10 +294,9 @@ def one_shot_bundle_text(bundle):
         "format_version": BUNDLE_VERSION,
         "dims": {"visual": bundle.visual_dim, "semantic": bundle.semantic_dim},
         "classes": [
-            {"species_id": c.species_id, "genus_id": c.genus_id,
-             "family_id": c.family_id, "name": c.name,
-             "semantic": encode_array(c.semantic)}
-            for c in bundle.classes
+            {"species_id": species, "genus_id": genus, "family_id": family,
+             "name": bundle.names[i], "semantic": encode_array(bundle.semantics[i])}
+            for i, (species, genus, family) in enumerate(bundle.taxonomy.tolist())
         ],
         "samples": {"species_id": bundle.sample_species.tolist(),
                     "visual": encode_array(bundle.sample_visuals)},
@@ -300,6 +311,13 @@ class TestPersistence:
         save_bundle(bundle, str(path))
         assert saved_bytes(load_bundle(str(path)), tmp_path) == path.read_bytes()
 
+    def test_roundtrip_keeps_a_hand_built_table(self, tmp_path):
+        # A rewrite that sorted the class table by id would change the bytes.
+        path = tmp_path / "bundle.json"
+        save_bundle(gapped_bundle(), str(path))
+        assert [c["species_id"] for c in json.loads(path.read_text())["classes"]] == [7, 3, 5]
+        assert saved_bytes(load_bundle(str(path)), tmp_path) == path.read_bytes()
+
     def test_file_matches_one_shot_writer(self, tmp_path):
         bundle = generate_synthetic(SyntheticSpec(visual_dim=7, semantic_dim=5), seed=8)
         path = tmp_path / "bundle.json"
@@ -308,15 +326,13 @@ class TestPersistence:
 
     def test_full_precision_floats_roundtrip(self, tmp_path):
         awkward = np.nextafter(0.1, 1.0)
-        classes = [ClassRecord(0, 0, 0, "a", np.array([awkward, 1/ 3]))]
-        bundle = DatasetBundle(classes, np.array([0]),
-                               np.array([[np.pi, np.e]]), seen_ids=[0], unseen_ids=[],
-                               visual_dim=2, semantic_dim=2)
+        bundle = DatasetBundle([[0, 0, 0]], ["a"], [[awkward, 1/ 3]], np.array([0]),
+                               np.array([[np.pi, np.e]]), seen_ids=[0], unseen_ids=[])
         path = tmp_path / "bundle.json"
         save_bundle(bundle, str(path))
         loaded = load_bundle(str(path))
         assert loaded.sample_visuals[0, 0] == np.pi
-        assert loaded.classes[0].semantic[0] == awkward
+        assert loaded.semantics[0, 0] == awkward
 
     def test_missing_top_level_field(self, tmp_path):
         path = tmp_path / "broken.json"

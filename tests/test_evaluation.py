@@ -9,8 +9,9 @@ from mkfusion.model import FusionGan
 
 
 def tiny_model(seed=0):
-    return FusionGan(visual_dim=6, semantic_dim=4, n_classes=5, noise_dim=3,
-                     gen_hidden=8, disc_hidden=(8, 6), fusion_hidden=5, seed=seed)
+    config = tr.TrainConfig(noise_dim=3, gen_hidden=8, disc_hidden=(8, 6), fusion_hidden=5,
+                            seed=seed)
+    return FusionGan(config, 6, 4, 5)
 
 
 def fixed_prototypes(vectors: dict[int, list[float]]) -> ev.ClassPrototypes:
@@ -425,9 +426,9 @@ class TestDrivers:
     def test_gzsl_unseen_top1_matches_zsl(self):
         bundle = generate_synthetic(SyntheticSpec(samples_per_species=4, visual_dim=6,
                                                   semantic_dim=4), seed=5)
-        model = FusionGan(visual_dim=6, semantic_dim=4, n_classes=len(bundle.seen_ids),
-                          noise_dim=3, gen_hidden=8, disc_hidden=(8, 6),
-                          fusion_hidden=5, seed=5)
+        config = tr.TrainConfig(noise_dim=3, gen_hidden=8, disc_hidden=(8, 6),
+                                fusion_hidden=5, seed=5)
+        model = FusionGan(config, 6, 4, len(bundle.seen_ids))
         top1, per_class = ev.evaluate_zsl(model, bundle, n_syn=7, seed=3)
         metrics, _ = ev.evaluate_gzsl(model, bundle, n_syn=7, seed=3)
         assert metrics.top1_unseen == top1

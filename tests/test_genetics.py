@@ -142,16 +142,14 @@ class TestCrossover:
             gn.crossover(np.zeros(3), np.zeros(4), gn.GeneticDraw.sample(3, rng))
 
 
-def desk_context(seed=0, **model_kw):
+def desk_context(seed=0):
     bundle = generate_synthetic(SyntheticSpec(samples_per_species=4, visual_dim=8,
                                               semantic_dim=6), seed=seed)
     datasets = derive_knowledge_datasets(bundle)
     centers = {level: compute_visual_centers(datasets[level]) for level in LEVELS}
-    defaults = dict(visual_dim=8, semantic_dim=6, n_classes=len(bundle.seen_ids),
-                    noise_dim=4, gen_hidden=8, disc_hidden=(8, 6), fusion_hidden=5,
-                    seed=seed)
-    defaults.update(model_kw)
-    model = mdl.FusionGan(**defaults)
+    config = tr.TrainConfig(noise_dim=4, gen_hidden=8, disc_hidden=(8, 6), fusion_hidden=5,
+                            seed=seed)
+    model = mdl.FusionGan(config, 8, 6, len(bundle.seen_ids))
     return bundle, datasets, centers, model
 
 
@@ -376,12 +374,13 @@ def label_context(bundle):
     """The class-head label of each seen species (its index in sorted id
     order), and those labels grouped under every (level, class id) key."""
     label_index = {sid: i for i, sid in enumerate(sorted(bundle.seen_ids))}
+    taxonomy = {row[0]: row for row in bundle.taxonomy.tolist()}
     species_under = {}
     for sid, label in label_index.items():
-        record = bundle.by_species[sid]
+        _, genus_id, family_id = taxonomy[sid]
         species_under.setdefault(("species", sid), []).append(label)
-        species_under.setdefault(("genus", record.genus_id), []).append(label)
-        species_under.setdefault(("family", record.family_id), []).append(label)
+        species_under.setdefault(("genus", genus_id), []).append(label)
+        species_under.setdefault(("family", family_id), []).append(label)
     return species_under, label_index
 
 
@@ -423,7 +422,7 @@ class TestPoolLosses:
         bundle, datasets, centers, model = desk_context(seed=6)
         species_under, _ = label_context(bundle)
         pools = gn.Pools()
-        genus_id = bundle.by_species[bundle.seen_ids[0]].genus_id
+        genus_id = int(bundle.taxonomy[bundle.rows_of(bundle.seen_ids[0]), 1])
         pools.enhanced.add("genus", genus_id, datasets["genus"].semantics[0])
         rng = np.random.default_rng(15)
         loss = gn.loss_er(model, pools, species_under, rng, 4)

@@ -5,6 +5,7 @@ from mkfusion import autodiff as ad
 from mkfusion import model as mdl
 from mkfusion.autodiff import Tensor
 from mkfusion.dataset import LEVELS
+from mkfusion.trainer import TrainConfig
 from fd import assert_grads_match
 
 
@@ -16,9 +17,9 @@ def fresh_graph():
 
 
 def small_model(seed=0, n_classes=5, fusion_mode="adaptive"):
-    return mdl.FusionGan(visual_dim=6, semantic_dim=4, n_classes=n_classes,
-                         noise_dim=3, gen_hidden=8, disc_hidden=(8, 7),
-                         fusion_hidden=5, seed=seed, fusion_mode=fusion_mode)
+    config = TrainConfig(noise_dim=3, gen_hidden=8, disc_hidden=(8, 7), fusion_hidden=5,
+                         seed=seed, fusion_mode=fusion_mode)
+    return mdl.FusionGan(config, 6, 4, n_classes)
 
 
 def batch_inputs(rng, n=4, t_dim=4, z_dim=3):

