@@ -247,8 +247,8 @@ def main(argv: list[str] | None = None) -> int:
         manifest.update(command=args.command, tool_version=__version__,
                         started_at=started, finished_at=_utc_now())
         atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
-    except (ValueError, KeyError, OSError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, RuntimeError, MemoryError) as err:
+        print(f"error: {err or type(err).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -180,7 +180,7 @@ class LevelDataset:
 
     @cached_property
     def class_ids(self) -> list[int]:
-        return sorted(int(c) for c in np.unique(self.labels))
+        return sorted(set(self.labels.tolist()))
 
     @property
     def n_classes(self) -> int:

@@ -19,6 +19,7 @@ DEFAULT_N_SYN = 60
 DEFAULT_TOP_K = 5
 DEFAULT_GAMMA_SPAN = 2.0
 DEFAULT_GAMMA_POINTS = 201
+CURVE_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -152,20 +153,26 @@ def calibrated_argmax(scores: Array, seen_mask: Array) -> Callable[[float], Arra
     tie. Rounding of ``s - gamma`` can still make another seen score equal to
     the best one, and argmax then picks the first of them; the rows where the
     runner-up seen score rounds onto the best at a gamma are recomputed over
-    their full row.
+    their full row. The pass works on ``CURVE_BLOCK_ROWS`` rows at a time, so
+    it holds one block of masked copies besides ``scores``.
     """
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
-    rows = np.arange(len(scores))
-    seen = np.where(seen_mask, scores, -np.inf)
-    unseen = np.where(seen_mask, -np.inf, scores)
-    seen_col = np.argmax(seen, axis=1)
-    unseen_col = np.argmax(unseen, axis=1)
-    best_seen = seen[rows, seen_col]
-    best_unseen = unseen[rows, unseen_col]
+    n = len(scores)
+    seen_col, unseen_col = np.empty((2, n), dtype=np.intp)
+    best_seen, best_unseen, runner_up = np.empty((3, n), np.result_type(scores, -np.inf))
+    for start in range(0, n, CURVE_BLOCK_ROWS):
+        block = scores[start:start + CURVE_BLOCK_ROWS]
+        if not np.isfinite(block).all():
+            raise ValueError("scores must be finite")
+        rows, part = np.arange(len(block)), slice(start, start + len(block))
+        seen = np.where(seen_mask, block, -np.inf)
+        unseen = np.where(seen_mask, -np.inf, block)
+        seen_col[part] = np.argmax(seen, axis=1)
+        unseen_col[part] = np.argmax(unseen, axis=1)
+        best_seen[part] = seen[rows, seen_col[part]]
+        best_unseen[part] = unseen[rows, unseen_col[part]]
+        seen[rows, seen_col[part]] = -np.inf
+        runner_up[part] = seen.max(axis=1)
     lower_col = np.minimum(seen_col, unseen_col)
-    seen[rows, seen_col] = -np.inf
-    runner_up = seen.max(axis=1)
 
     def argmax(gamma: float) -> Array:
         shifted = best_seen - gamma

@@ -79,7 +79,7 @@ def species_groups(bundle: DatasetBundle) -> dict[tuple[str, int], list[int]]:
     seen species grouped under every (level, class id) key, in species-id order."""
     ids = bundle.taxonomy[bundle.rows_of(bundle.seen_ids)]
     return {(level, class_id): np.flatnonzero(ids[:, i] == class_id).tolist()
-            for i, level in enumerate(LEVELS) for class_id in np.unique(ids[:, i]).tolist()}
+            for i, level in enumerate(LEVELS) for class_id in sorted(set(ids[:, i].tolist()))}
 
 
 def build_optimizers(model: mdl.FusionGan, lr: float) -> dict[str, ad.AdamState]:

@@ -3,8 +3,11 @@ import functools
 import hashlib
 import json
 import operator
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -300,6 +303,10 @@ BAD_VALUES = [
     ("train", {"noise_dim": 2**63}, [], None,
      "'noise_dim' must be int64, got 9223372036854775808"),
     ("eval", {"n_syn": 2**63}, [], None, "'n_syn' must be int64, got 9223372036854775808"),
+    # An int64 size too large to allocate. Both arrays pass 128 TiB, so no
+    # address space can map them, whatever the kernel's overcommit policy.
+    ("gen-data", None, ["--families", 2**40], None, "Unable to allocate"),
+    ("eval", {"n_syn": 2**43}, [], None, "Unable to allocate"),
 ]
 
 # A field of a saved file set to a value of the wrong JSON type, with the
@@ -353,6 +360,31 @@ def assert_field_rejected(tmp_path, capsys, small_data, trained, kind, where, va
     else:
         command, inputs = "train", ["--data", bad]
     assert_rejected(tmp_path, capsys, command, inputs, name)
+
+
+class TestImports:
+    def test_commands_do_not_import_numpy_ma(self, tmp_path, small_data, train_config):
+        """``np.unique`` imports ``numpy.ma``, which costs every command 11-14 ms
+        and about 1 MB; no train, eval or retrieve path may reach it."""
+        script = "\n".join([
+            "import sys",
+            "from mkfusion.cli import main",
+            "data, config, out = sys.argv[1:]",
+            "checkpoint = out + '/run/checkpoint.json'",
+            "assert main(['train', '--data', data, '--config', config,",
+            "             '--out', out + '/run']) == 0",
+            "for mode in ('gzsl', 'zsl'):",
+            "    assert main(['eval', '--data', data, '--checkpoint', checkpoint,",
+            "                 '--mode', mode, '--n-syn', '4', '--out', out + '/' + mode]) == 0",
+            "assert main(['retrieve', '--data', data, '--checkpoint', checkpoint,",
+            "             '--class', '0', '--out', out + '/ranking.csv']) == 0",
+            "print('numpy.ma' in sys.modules)"])
+        src = str(pathlib.Path(ev.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(small_data), str(train_config),
+             str(tmp_path)], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
 
 class TestBadInput:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,45 @@ class TestLinearTimeCurve:
         curve = ev.seen_unseen_curve(*args)
         assert curve.seen_accuracy[list(curve.gammas).index(-512.0)] == 1.0
         assert_same_curve(curve, brute_force_curve(*args))
+
+
+    @pytest.mark.parametrize("n", [1, ev.CURVE_BLOCK_ROWS - 1, ev.CURVE_BLOCK_ROWS,
+                                   ev.CURVE_BLOCK_ROWS + 1, 3 * ev.CURVE_BLOCK_ROWS + 7])
+    def test_block_boundaries_match_bruteforce(self, n):
+        """Row counts around the block size, with a mask that has no unseen
+        column and one with a single seen column among the masks."""
+        rng = np.random.default_rng(n)
+        scores = rng.integers(-8, 9, (n, 7)) / 8.0
+        columns = np.arange(7)
+        for mask in (np.isin(columns, [0, 2, 3, 5]), columns >= 0, columns == 4):
+            argmax = ev.calibrated_argmax(scores, mask)
+            for gamma in np.arange(-24, 25) / 8.0:
+                np.testing.assert_array_equal(argmax(gamma),
+                                              np.argmax(scores - mask * gamma, axis=1))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_last_block_rejected(self, value):
+        scores = np.zeros((3 * ev.CURVE_BLOCK_ROWS + 7, 4))
+        scores[-1, 2] = value
+        with pytest.raises(ValueError, match="scores must be finite"):
+            ev.calibrated_argmax(scores, np.array([True, False, True, False]))
+
+    def test_curve_holds_less_than_two_seen_score_matrices(self):
+        """The sweep keeps both score matrices and one block of masked copies:
+        below twice the 4,800 x 144 seen matrix (5.53 MB) on an eval-large shape."""
+        rng = np.random.default_rng(5)
+        prototypes = fixed_prototypes({c: rng.normal(0, 1, 64).tolist()
+                                       for c in range(144)})
+        seen_x, unseen_x = rng.normal(0, 1, (4800, 64)), rng.normal(0, 1, (960, 64))
+        seen_y, unseen_y = rng.integers(0, 120, 4800), rng.integers(120, 144, 960)
+        tracemalloc.start()
+        try:
+            ev.seen_unseen_curve(prototypes, seen_x, seen_y, unseen_x, unseen_y,
+                                 list(range(120)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 4800 * 144 * 8
 
 
 class TestRetrieval:
