@@ -1,11 +1,12 @@
 """Dense float64 tensors with a reverse-mode tape, Adam, and weight clipping.
 
-Every numeric value in the package flows through :class:`Tensor`. Operations
-on tensors that require gradients are recorded on a single module-level tape
-while gradients are enabled. ``backward(loss, wrt=tensors)`` replays only the
-part of the tape that lies on a path from ``tensors`` to ``loss`` and returns
-the gradients as arrays, one per tensor; no tensor holds gradient state. The
-tape is cleared explicitly by the caller between training steps.
+Every numeric value in the package flows through :class:`Tensor`. While
+gradients are enabled, every operation is recorded on a single module-level
+tape; ``no_grad`` is the only switch that turns recording off.
+``backward(loss, wrt=tensors)`` replays only the part of the tape that lies
+on a path from ``tensors`` to ``loss`` and returns the gradients as arrays,
+one per tensor; no tensor holds gradient state. The tape is cleared
+explicitly by the caller between training steps.
 
 Each recorded op has a vector-Jacobian product ``vjp(g, need)``: ``g`` is the
 gradient of the loss with respect to the op's output, and ``need`` holds one
@@ -36,22 +37,21 @@ Vjp = Callable[[Array, tuple[bool, ...]], tuple[Array | None, ...]]
 
 
 class Tensor:
-    """A dense real-valued array that can participate in gradient taping.
+    """A dense real-valued array, stored row-major in float64.
 
-    Data is stored row-major in float64. A tensor built from caller data must
-    be finite; op outputs are built without that scan. Operations that take a
-    tensor with ``requires_grad`` are taped, and their outputs require
-    gradients too.
+    A tensor built from caller data must be finite; op outputs are built
+    without that scan. Whether an op on it is taped depends only on
+    ``no_grad``, and which tensors are differentiated only on ``backward``'s
+    ``wrt``.
     """
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("tensor data contains non-finite entries")
         self.data = arr
-        self.requires_grad = bool(requires_grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -91,7 +91,7 @@ def clear_graph() -> None:
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable taping within the block; outputs become constant leaves."""
+    """Record no operation within the block; outputs are untaped leaves."""
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -109,13 +109,8 @@ def _record(inputs: tuple[Tensor, ...], out_data: Array, vjp: Vjp) -> Tensor:
         out_data = np.asarray(out_data)
     out = object.__new__(Tensor)
     out.data = out_data
-    out.requires_grad = False
     if _grad_enabled:
-        for t in inputs:
-            if t.requires_grad:
-                out.requires_grad = True
-                _graph.append(_Node(inputs, out, vjp))
-                break
+        _graph.append(_Node(inputs, out, vjp))
     return out
 
 

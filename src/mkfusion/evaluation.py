@@ -281,8 +281,10 @@ def _unseen_top1(prototypes: ClassPrototypes, bundle: DatasetBundle
     """Top-1 accuracy of unseen samples among the unseen classes' prototypes,
     with the number of correct samples per unseen class."""
     ids = bundle.unseen_ids
-    unseen = ClassPrototypes({c: prototypes.prototypes[c] for c in ids}, prototypes.n_syn)
     y = bundle.unseen_sample_species()
+    if len(y) == 0:
+        raise ValueError("the unseen evaluation set must be non-empty")
+    unseen = ClassPrototypes({c: prototypes.prototypes[c] for c in ids}, prototypes.n_syn)
     predictions = classify_top1(unseen, bundle.unseen_visuals())
     per_class = {c: int(((predictions == y) & (y == c)).sum()) for c in ids}
     return float((predictions == y).mean()), per_class

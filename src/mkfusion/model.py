@@ -29,7 +29,7 @@ def _layers(rng: np.random.Generator, *layers: tuple[str, int, int]) -> dict[str
     for name, n_in, n_out in layers:
         bound = 1.0 / np.sqrt(n_in)
         for key, shape in ((f"w{name}", (n_in, n_out)), (f"b{name}", (n_out,))):
-            table[key] = Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+            table[key] = Tensor(rng.uniform(-bound, bound, shape))
     return table
 
 
@@ -91,12 +91,10 @@ class DiscriminatorNet:
         return [p for k, p in self.params.items() if not k.endswith("_cls")]
 
 
-def discriminate(disc: DiscriminatorNet, x: Tensor | Array, *, classify: bool = True
+def discriminate(disc: DiscriminatorNet, x: Tensor, *, classify: bool = True
                  ) -> tuple[Tensor, Tensor | None]:
     """Return (realness column, class logit rows) for a batch of visual rows;
     with ``classify=False`` the class head does not run and the logits are None."""
-    if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != disc.visual_dim:
         raise ValueError(f"discriminate: expected (n, {disc.visual_dim}) rows, "
                          f"got {x.shape}")
@@ -214,9 +212,8 @@ class FusionGan:
 
 def loss_kr(generated: Tensor, center_rows: Array) -> Tensor:
     """Mean squared distance between generated rows and their class centers."""
-    centers = Tensor(np.asarray(center_rows, dtype=np.float64))
     n = generated.shape[0]
-    return ad.scalar_mul(ad.l2_squared_distance(generated, centers), 1.0 / n)
+    return ad.scalar_mul(ad.l2_squared_distance(generated, Tensor(center_rows)), 1.0 / n)
 
 
 def adversarial_and_classification(disc: DiscriminatorNet, batch: Tensor,
@@ -239,9 +236,7 @@ def loss_discriminator(disc: DiscriminatorNet, real: Array, fake: Array,
                        labels: Array) -> Tensor:
     """Critic loss mean(realness(fake)) - mean(realness(real)) plus
     classification of the real batch. ``fake`` is treated as a constant."""
-    real_t = Tensor(np.asarray(real, dtype=np.float64))
-    fake_t = Tensor(np.asarray(fake, dtype=np.float64))
-    realness_fake, _ = discriminate(disc, fake_t, classify=False)
-    realness_real, logits_real = discriminate(disc, real_t)
+    realness_fake, _ = discriminate(disc, Tensor(fake), classify=False)
+    realness_real, logits_real = discriminate(disc, Tensor(real))
     wasserstein = ad.sub(ad.reduce_mean(realness_fake), ad.reduce_mean(realness_real))
     return ad.add(wasserstein, ad.cross_entropy_with_logits(logits_real, labels))

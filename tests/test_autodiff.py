@@ -12,8 +12,8 @@ def fresh_graph():
     ad.clear_graph()
 
 
-def t(data, requires_grad=False):
-    return ad.Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
+def t(data):
+    return ad.Tensor(np.asarray(data, dtype=np.float64))
 
 
 class TestForward:
@@ -77,21 +77,21 @@ class TestForward:
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        w = t(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        w = t(np.arange(6.0).reshape(2, 3))
         (grad,) = ad.backward(ad.reduce_sum(w), wrt=[w])
         np.testing.assert_array_equal(grad, np.ones((2, 3)))
 
     def test_squared_error_derivative(self):
-        w = t([3.0], requires_grad=True)
+        w = t([3.0])
         (grad,) = ad.backward(ad.l2_squared_distance(w, t([0.0])), wrt=[w])
         np.testing.assert_allclose(grad, [6.0])
 
     def test_two_layer_net_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        w1 = t(rng.normal(0, 0.5, (4, 5)), requires_grad=True)
-        b1 = t(rng.normal(0, 0.5, 5), requires_grad=True)
-        w2 = t(rng.normal(0, 0.5, (5, 3)), requires_grad=True)
-        b2 = t(rng.normal(0, 0.5, 3), requires_grad=True)
+        w1 = t(rng.normal(0, 0.5, (4, 5)))
+        b1 = t(rng.normal(0, 0.5, 5))
+        w2 = t(rng.normal(0, 0.5, (5, 3)))
+        b2 = t(rng.normal(0, 0.5, 3))
         x = t(rng.normal(0, 1, (6, 4)))
         target = t(rng.normal(0, 1, (6, 3)))
 
@@ -109,7 +109,7 @@ class TestBackward:
 
     def test_linearity_of_accumulation(self):
         rng = np.random.default_rng(3)
-        w = t(rng.normal(0, 1, (3, 3)), requires_grad=True)
+        w = t(rng.normal(0, 1, (3, 3)))
 
         def loss_a():
             return ad.reduce_mean(ad.square(w))
@@ -123,7 +123,7 @@ class TestBackward:
         np.testing.assert_allclose(g, ga + gb, rtol=1e-12)
 
     def test_repeated_backward_returns_equal_grads(self):
-        w = t([2.0], requires_grad=True)
+        w = t([2.0])
         loss = ad.reduce_sum(ad.square(w))
         first = ad.backward(loss, wrt=[w])
         second = ad.backward(loss, wrt=[w])
@@ -131,14 +131,14 @@ class TestBackward:
         np.testing.assert_array_equal(second[0], first[0])
 
     def test_unreached_wrt_rejected(self):
-        w = t([1.0], requires_grad=True)
-        unused = t([2.0], requires_grad=True)
+        w = t([1.0])
+        unused = t([2.0])
         loss = ad.reduce_sum(ad.square(w))
         with pytest.raises(ValueError, match=r"does not depend on wrt\[1\]"):
             ad.backward(loss, wrt=[w, unused])
 
     def test_loss_must_be_scalar_and_on_tape(self):
-        w = t([1.0, 2.0], requires_grad=True)
+        w = t([1.0, 2.0])
         vec = ad.square(w)
         with pytest.raises(ValueError, match="scalar"):
             ad.backward(vec, wrt=[w])
@@ -147,11 +147,10 @@ class TestBackward:
             ad.backward(detached, wrt=[w])
 
     def test_no_grad_suppresses_taping(self):
-        w = t([1.0], requires_grad=True)
+        w = t([1.0])
         with ad.no_grad():
-            out = ad.square(w)
+            ad.square(w)
         assert len(ad.active_graph()) == 0
-        assert not out.requires_grad
 
 
 def bits(a):
@@ -178,7 +177,7 @@ class TestLeakyReluBits:
         x = np.concatenate([self.X, rng.normal(0, 1, 50)])
         grads = [np.ones_like(x), -np.ones_like(x), np.zeros_like(x), -np.zeros_like(x),
                  rng.permutation(np.resize(self.X, x.shape)), rng.normal(0, 1, x.shape)]
-        out = ad.leaky_relu(t(x, requires_grad=True), alpha=alpha)
+        out = ad.leaky_relu(t(x), alpha=alpha)
         assert bits(out.data) == bits(leaky_relu_reference(x, alpha))
         (node,) = ad.active_graph()
         for g in grads:
@@ -207,7 +206,7 @@ class TestVjpNeeds:
 
     def test_data_matrix_gradient_is_not_computed(self):
         x = t(np.ones((2, 3)))
-        w = t(np.ones((3, 4)), requires_grad=True)
+        w = t(np.ones((3, 4)))
         loss = ad.reduce_sum(ad.matmul(x, w))
         calls = []
         node = ad.active_graph()[0]
@@ -218,27 +217,27 @@ class TestVjpNeeds:
 
 
 OP_CASES = {
-    "matmul": lambda rng: (t(rng.normal(0, 1, (3, 4)), True), t(rng.normal(0, 1, (4, 2)), True)),
-    "add": lambda rng: (t(rng.normal(0, 1, (3, 4)), True), t(rng.normal(0, 1, (3, 4)), True)),
-    "add-bias": lambda rng: (t(rng.normal(0, 1, (3, 4)), True), t(rng.normal(0, 1, 4), True)),
-    "sub": lambda rng: (t(rng.normal(0, 1, (3, 4)), True), t(rng.normal(0, 1, (3, 4)), True)),
-    "mul": lambda rng: (t(rng.normal(0, 1, (3, 4)), True), t(rng.normal(0, 1, (3, 4)), True)),
-    "mul-column": lambda rng: (t(rng.normal(0, 1, (3, 4)), True), t(rng.normal(0, 1, (3, 1)), True)),
-    "div": lambda rng: (t(rng.normal(0, 1, (3, 4)), True),
-                        t(rng.uniform(0.5, 2.0, (3, 4)), True)),
-    "scalar-mul": lambda rng: (t(rng.normal(0, 1, (3, 4)), True),),
-    "mean": lambda rng: (t(rng.normal(0, 1, (3, 4)), True),),
-    "sum": lambda rng: (t(rng.normal(0, 1, (3, 4)), True),),
-    "square": lambda rng: (t(rng.normal(0, 1, (3, 4)), True),),
-    "log": lambda rng: (t(rng.uniform(0.2, 3.0, (3, 4)), True),),
-    "sigmoid": lambda rng: (t(rng.normal(0, 2, (3, 4)), True),),
-    "leaky-relu": lambda rng: (t(rng.normal(0, 1, (3, 4)) + np.sign(rng.normal(0, 1, (3, 4))) * 0.2, True),),
-    "softmax": lambda rng: (t(rng.normal(0, 1, (3, 4)), True),),
-    "l2-squared-distance": lambda rng: (t(rng.normal(0, 1, (3, 4)), True),
-                                        t(rng.normal(0, 1, (3, 4)), True)),
-    "cross-entropy-with-logits": lambda rng: (t(rng.normal(0, 1, (5, 4)), True),),
-    "cosine-similarity": lambda rng: (t(rng.normal(0, 1, 5) + 1.0, True),
-                                      t(rng.normal(0, 1, 5) + 1.0, True)),
+    "matmul": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (4, 2)))),
+    "add": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (3, 4)))),
+    "add-bias": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, 4))),
+    "sub": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (3, 4)))),
+    "mul": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (3, 4)))),
+    "mul-column": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (3, 1)))),
+    "div": lambda rng: (t(rng.normal(0, 1, (3, 4))),
+                        t(rng.uniform(0.5, 2.0, (3, 4)))),
+    "scalar-mul": lambda rng: (t(rng.normal(0, 1, (3, 4))),),
+    "mean": lambda rng: (t(rng.normal(0, 1, (3, 4))),),
+    "sum": lambda rng: (t(rng.normal(0, 1, (3, 4))),),
+    "square": lambda rng: (t(rng.normal(0, 1, (3, 4))),),
+    "log": lambda rng: (t(rng.uniform(0.2, 3.0, (3, 4))),),
+    "sigmoid": lambda rng: (t(rng.normal(0, 2, (3, 4))),),
+    "leaky-relu": lambda rng: (t(rng.normal(0, 1, (3, 4)) + np.sign(rng.normal(0, 1, (3, 4))) * 0.2),),
+    "softmax": lambda rng: (t(rng.normal(0, 1, (3, 4))),),
+    "l2-squared-distance": lambda rng: (t(rng.normal(0, 1, (3, 4))),
+                                        t(rng.normal(0, 1, (3, 4)))),
+    "cross-entropy-with-logits": lambda rng: (t(rng.normal(0, 1, (5, 4))),),
+    "cosine-similarity": lambda rng: (t(rng.normal(0, 1, 5) + 1.0),
+                                      t(rng.normal(0, 1, 5) + 1.0)),
 }
 
 OP_BUILDERS = {
@@ -275,7 +274,7 @@ def test_every_op_gradient_matches_finite_differences(case):
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
-        p = t([1.0, -2.0], requires_grad=True)
+        p = t([1.0, -2.0])
         state = ad.AdamState([p], lr=0.1)
         state.step([np.zeros(2)])
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
@@ -284,13 +283,13 @@ class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         # Hand evaluation with beta1=0.5, beta2=0.9: m_hat = v_hat = g on step 1,
         # so the update is -lr * g / (|g| + eps).
-        p = t([0.0], requires_grad=True)
+        p = t([0.0])
         state = ad.AdamState([p], lr=0.1)
         state.step([np.array([1.0])])
         assert p.data[0] == pytest.approx(-0.1, abs=1e-6)
 
     def test_two_steps_decrease_convex_quadratic(self):
-        p = t([5.0], requires_grad=True)
+        p = t([5.0])
         state = ad.AdamState([p], lr=0.1)
         losses = []
         for _ in range(2):
@@ -303,7 +302,7 @@ class TestAdam:
         assert final < losses[1]
 
     def test_gradient_count_must_match_params(self):
-        p = t([1.0], requires_grad=True)
+        p = t([1.0])
         state = ad.AdamState([p])
         with pytest.raises(ValueError, match="2 gradients for 1 parameters"):
             state.step([np.zeros(1), np.zeros(1)])
@@ -328,7 +327,7 @@ class TestAdamBits:
     def test_five_steps_match_out_of_place_reference(self):
         rng = np.random.default_rng(8)
         shapes = [(4, 3), (3,), ()]
-        params = [t(rng.normal(0, 1, s), requires_grad=True) for s in shapes]
+        params = [t(rng.normal(0, 1, s)) for s in shapes]
         state = ad.AdamState(params, lr=0.01)
         ref_p = [p.data.copy() for p in params]
         ref_m = [np.zeros(s) for s in shapes]
@@ -346,18 +345,18 @@ class TestAdamBits:
 
 class TestClipWeights:
     def test_clamp_examples(self):
-        p = t([0.5, -0.003, 0.0], requires_grad=True)
+        p = t([0.5, -0.003, 0.0])
         ad.clip_weights([p], 0.01)
         np.testing.assert_allclose(p.data, [0.01, -0.003, 0.0])
 
     def test_all_zero_fixed_point(self):
-        p = t(np.zeros((2, 2)), requires_grad=True)
+        p = t(np.zeros((2, 2)))
         ad.clip_weights([p], 0.01)
         np.testing.assert_array_equal(p.data, np.zeros((2, 2)))
 
     def test_max_abs_bounded_after_clip(self):
         rng = np.random.default_rng(11)
-        params = [t(rng.normal(0, 1, (4, 4)), requires_grad=True) for _ in range(3)]
+        params = [t(rng.normal(0, 1, (4, 4))) for _ in range(3)]
         ad.clip_weights(params, 0.05)
         for p in params:
             assert np.abs(p.data).max() <= 0.05

@@ -561,6 +561,29 @@ class TestBadInput:
         assert_rejected(tmp_path, capsys, command, ["--data", small_data, *inputs],
                         "dims/n_classes")
 
+    @pytest.mark.parametrize("mode,name", [("zsl", "unseen evaluation set"),
+                                           ("gzsl", "both evaluation sets")])
+    @pytest.mark.parametrize("empty", ["samples", "split"])
+    def test_empty_unseen_set_rejected(self, tmp_path, small_data, trained, capsys,
+                                       mode, name, empty):
+        """Data whose unseen species have no samples, or whose unseen split
+        is empty, stops ``eval`` on one line and writes nothing."""
+        document = json.loads(small_data.read_text())
+        unseen = set(document["splits"]["unseen"])
+        samples = document["samples"]
+        visuals = decode_array(samples["visual"], "visual")
+        keep = [i for i, s in enumerate(samples["species_id"]) if s not in unseen]
+        samples["species_id"] = [samples["species_id"][i] for i in keep]
+        samples["visual"] = encode_array(visuals[keep])
+        if empty == "split":
+            document["splits"]["unseen"] = []
+            document["classes"] = [c for c in document["classes"]
+                                   if c["species_id"] not in unseen]
+        data = tmp_path / "empty-unseen.json"
+        data.write_text(json.dumps(document))
+        inputs = ["--data", data, "--checkpoint", trained / "checkpoint.json"]
+        assert_rejected(tmp_path, capsys, "eval", inputs, name, flags=["--mode", mode])
+
     def test_resume_rejects_steps_below_checkpoint_loop(self, tmp_path, small_data,
                                                          trained, capsys):
         capsys.readouterr()

@@ -65,7 +65,7 @@ class TestDiscriminate:
         m = small_model()
         for p in m.discriminator.named_params().values():
             p.data[...] = 0.0
-        realness, logits = mdl.discriminate(m.discriminator, np.ones((3, 6)))
+        realness, logits = mdl.discriminate(m.discriminator, Tensor(np.ones((3, 6))))
         np.testing.assert_array_equal(realness.data, np.zeros((3, 1)))
         probs = ad.softmax(logits)
         np.testing.assert_allclose(probs.data, np.full((3, 5), 0.2), atol=1e-15)
@@ -75,19 +75,19 @@ class TestDiscriminate:
         rng = np.random.default_rng(3)
         x = rng.normal(0, 1, (5, 6))
         perm = rng.permutation(5)
-        r1, l1 = mdl.discriminate(m.discriminator, x)
-        r2, l2 = mdl.discriminate(m.discriminator, x[perm])
+        r1, l1 = mdl.discriminate(m.discriminator, Tensor(x))
+        r2, l2 = mdl.discriminate(m.discriminator, Tensor(x[perm]))
         np.testing.assert_array_equal(r2.data, r1.data[perm])
         np.testing.assert_array_equal(l2.data, l1.data[perm])
 
     def test_dim_mismatch(self):
         m = small_model()
         with pytest.raises(ValueError, match="expected"):
-            mdl.discriminate(m.discriminator, np.zeros((2, 5)))
+            mdl.discriminate(m.discriminator, Tensor(np.zeros((2, 5))))
 
     def test_without_class_head(self):
         m = small_model()
-        x = np.random.default_rng(4).normal(0, 1, (5, 6))
+        x = Tensor(np.random.default_rng(4).normal(0, 1, (5, 6)))
         realness, _ = mdl.discriminate(m.discriminator, x)
         taped = len(ad.active_graph())
         alone, logits = mdl.discriminate(m.discriminator, x, classify=False)
@@ -234,7 +234,7 @@ class TestLosses:
         labels = rng.integers(0, 5, 4)
         loss = mdl.loss_discriminator(m.discriminator, batch, batch, labels).item()
         with ad.no_grad():
-            _, logits = mdl.discriminate(m.discriminator, batch)
+            _, logits = mdl.discriminate(m.discriminator, Tensor(batch))
             ce = ad.cross_entropy_with_logits(logits, labels).item()
         assert loss == pytest.approx(ce, rel=1e-12)
 
@@ -316,7 +316,7 @@ class TestTapedOps:
 
     def test_discriminate(self):
         m = small_model()
-        mdl.discriminate(m.discriminator, np.ones((3, 6)))
+        mdl.discriminate(m.discriminator, Tensor(np.ones((3, 6))))
         assert taped_kinds() == HIDDEN + HIDDEN + DENSE + DENSE
 
     def test_fuse(self):

@@ -12,6 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mkfusion import autodiff as ad
+from mkfusion import evaluation as ev
 from mkfusion import model as mdl
 from mkfusion import trainer as tr
 from mkfusion.dataset import (DatasetBundle, SyntheticSpec, encode_array, generate_synthetic,
@@ -280,6 +282,47 @@ class TestSchedule:
                                unseen_ids=bundle.taxonomy[:, 0])
         with pytest.raises(ValueError, match="seen"):
             tr.train(small_config(), broken)
+
+
+class TestTape:
+    """Every op is taped while gradients are on, so the tape holds only
+    what ``backward`` can reach if no op in a training step runs on data
+    alone, and evaluation runs with gradients off."""
+
+    @pytest.mark.parametrize("fusion_mode", ["adaptive", "summing"])
+    def test_every_taped_op_has_a_parameter_input(self, monkeypatch, fusion_mode):
+        bundle = small_bundle()
+        config = small_config(steps=3, n_nfg=0, kappa1=0.3, kappa2=0.1,
+                              fusion_mode=fusion_mode)
+        state = tr.train(dataclasses.replace(config, steps=0), bundle).state
+        params = {id(p) for p in state.model.named_params().values()}
+        backward, calls = ad.backward, []
+
+        def checked_backward(loss, *, wrt):
+            reached = set(params)
+            for i, node in enumerate(ad.active_graph()):
+                assert not reached.isdisjoint(map(id, node.inputs)), (
+                    f"tape node {i} has no input reached from a parameter")
+                reached.add(id(node.output))
+            calls.append(len(ad.active_graph()))
+            return backward(loss, wrt=wrt)
+
+        monkeypatch.setattr(ad, "backward", checked_backward)
+        result = tr.train(config, bundle, resume=state)
+        assert result.pools.enhanced.size > 0 and result.pools.novel.size > 0
+        per_loop = 7 if fusion_mode == "adaptive" else 6
+        assert len(calls) == 3 * per_loop and min(calls) > 0
+
+    def test_evaluation_leaves_the_tape_empty(self):
+        bundle = small_bundle()
+        model = tr.train(small_config(steps=0), bundle).model
+        ad.clear_graph()
+        for run in (lambda: ev.evaluate_gzsl(model, bundle, n_syn=3),
+                    lambda: ev.evaluate_zsl(model, bundle, n_syn=3),
+                    lambda: ev.synthesize_prototypes(
+                        model, {0: bundle.semantic_for(0)}, n_syn=3)):
+            run()
+            assert ad.active_graph() == []
 
 
 class TestDeterminism:
