@@ -44,8 +44,8 @@ FLAGGED = {
     "eval": ("n_syn", "mode"),
     "retrieve": ("k", "n_syn"),
 }
-# Setting -> the name its flag and config key use instead; in a config file
-# the alias wins over the setting's own name.
+# Setting -> the name its flag and config key use instead; a config file may
+# give either name, not both.
 ALIASES = {"lam": "lambda"}
 # eval output file -> its key in the manifest's ``outputs``.
 EVAL_OUTPUTS = {"metrics.txt": "metrics_txt", "metrics.csv": "metrics_csv",
@@ -70,6 +70,9 @@ def _settings(args: argparse.Namespace) -> dict:
     unknown = sorted(set(config) - {*defaults, *(ALIASES.get(n, n) for n in defaults)})
     if unknown:
         raise ValueError(f"unknown keys in config file {args.config}: {', '.join(unknown)}")
+    both = [f"{n!r} and {a!r}" for n, a in ALIASES.items() if n in config and a in config]
+    if both:
+        raise ValueError(f"config file {args.config} gives both {', '.join(both)}")
     values = {}
     for name, default in defaults.items():
         key = ALIASES[name] if ALIASES.get(name) in config else name

@@ -372,7 +372,7 @@ def read_json_object(path: str, what: str) -> dict:
     with open(path) as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"malformed {what} {path}: {err}") from None
     if not isinstance(document, dict):
         raise ValueError(f"{what} {path} must hold a JSON object")

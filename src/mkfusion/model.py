@@ -52,9 +52,6 @@ class GeneratorNet:
         self.params = _layers(rng, ("1", semantic_dim + noise_dim, hidden),
                               ("2", hidden, visual_dim))
 
-    def named_params(self) -> dict[str, Tensor]:
-        return {f"generator/{self.level}/{k}": p for k, p in self.params.items()}
-
 
 def generate(gen: GeneratorNet, t: Array, z: Array) -> Tensor:
     """Synthesize a batch of visual rows from semantic rows and noise rows."""
@@ -84,9 +81,6 @@ class DiscriminatorNet:
         self.params = _layers(rng, ("1", visual_dim, hidden1), ("2", hidden1, hidden2),
                               ("_real", hidden2, 1), ("_cls", hidden2, n_classes))
 
-    def named_params(self) -> dict[str, Tensor]:
-        return {f"discriminator/{k}": p for k, p in self.params.items()}
-
     def critic_params(self) -> list[Tensor]:
         return [p for k, p in self.params.items() if not k.endswith("_cls")]
 
@@ -111,10 +105,6 @@ class FusionNet:
         self.alpha = alpha
         self.layers = {level: _layers(rng, ("1", visual_dim, hidden), ("2", hidden, 1))
                        for level in LEVELS}
-
-    def named_params(self) -> dict[str, Tensor]:
-        return {f"fusion/{level}/{k}": p
-                for level in LEVELS for k, p in self.layers[level].items()}
 
     def score(self, level: str, x: Tensor) -> Tensor:
         layer = self.layers[level]
@@ -176,24 +166,15 @@ class FusionGan:
         self.discriminator = DiscriminatorNet(visual_dim, n_classes, *config.disc_hidden,
                                               alpha, rng)
         self.fusion = FusionNet(visual_dim, config.fusion_hidden, alpha, rng)
+        # Every parameter under its checkpoint name, in draw order.
+        tables = ([(f"generator/{level}/", self.generators[level].params) for level in LEVELS]
+                  + [("discriminator/", self.discriminator.params)]
+                  + [(f"fusion/{level}/", self.fusion.layers[level]) for level in LEVELS])
+        self.params = {prefix + key: p for prefix, table in tables for key, p in table.items()}
 
-    def named_params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for level in LEVELS:
-            out.update(self.generators[level].named_params())
-        out.update(self.discriminator.named_params())
-        out.update(self.fusion.named_params())
-        return out
-
-    def generator_params(self) -> list[Tensor]:
-        return [p for level in LEVELS
-                for p in self.generators[level].named_params().values()]
-
-    def discriminator_params(self) -> list[Tensor]:
-        return list(self.discriminator.named_params().values())
-
-    def fusion_params(self) -> list[Tensor]:
-        return list(self.fusion.named_params().values())
+    def group(self, prefix: str) -> list[Tensor]:
+        """The parameters whose checkpoint names start with ``prefix``, in table order."""
+        return [p for name, p in self.params.items() if name.startswith(prefix)]
 
     def generate_fused(self, t: Array, z: Array
                        ) -> tuple[dict[str, Tensor], Tensor, dict[str, Tensor] | None]:

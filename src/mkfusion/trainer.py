@@ -19,6 +19,9 @@ from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_json,
 Array = np.ndarray
 
 CHECKPOINT_VERSION = 3
+# A checkpoint's Adam names -> the parameter-name prefix each optimizer updates.
+ADAM_GROUPS = {"discriminator": "discriminator/", "generators": "generator/",
+               "fusion": "fusion/"}
 
 
 @dataclass
@@ -83,10 +86,9 @@ def species_groups(bundle: DatasetBundle) -> dict[tuple[str, int], list[int]]:
 
 
 def build_optimizers(model: mdl.FusionGan, lr: float) -> dict[str, ad.AdamState]:
-    """A fresh optimizer per checkpoint name, over the parameters it updates."""
-    return {"discriminator": ad.AdamState(model.discriminator_params(), lr=lr),
-            "generators": ad.AdamState(model.generator_params(), lr=lr),
-            "fusion": ad.AdamState(model.fusion_params(), lr=lr)}
+    """A fresh optimizer per checkpoint name, over the parameters under its prefix."""
+    return {name: ad.AdamState(model.group(prefix), lr=lr)
+            for name, prefix in ADAM_GROUPS.items()}
 
 
 @dataclass
@@ -158,8 +160,8 @@ class _Session:
         self.semantic_dim = bundle.semantic_dim
         self.config, self.model, self.pools, self.rng = (state.config, state.model,
                                                          state.pools, state.rng)
-        self.opt_d, self.opt_g, self.opt_f = (
-            state.optimizers[name] for name in ("discriminator", "generators", "fusion"))
+        self.opt_d, self.opt_g, self.opt_f = (state.optimizers[name] for name in ADAM_GROUPS)
+        self.critic = state.model.discriminator.critic_params()
 
     def run_nfg_phase(self) -> None:
         config, rng = self.config, self.rng
@@ -188,7 +190,6 @@ class _Session:
         return idx, self.datasets["species"].semantics[idx], z
 
     def discriminator_step(self) -> float:
-        config = self.config
         idx, t_batch, z = self.sample_batch()
         with ad.no_grad():
             _, fused, _ = self.model.generate_fused(t_batch, z)
@@ -196,7 +197,7 @@ class _Session:
                                       self.datasets["species"].visuals[idx],
                                       fused.data, self.dense_labels[idx])
         self.opt_d.step(ad.backward(loss, wrt=self.opt_d.params))
-        ad.clip_weights(self.model.discriminator.critic_params(), config.clip_c)
+        ad.clip_weights(self.critic, self.config.clip_c)
         ad.clear_graph()
         return loss.item()
 
@@ -304,7 +305,7 @@ def save_checkpoint(path: str, state: CheckpointData) -> None:
         "dims": {"visual": state.model.visual_dim,
                  "semantic": state.model.semantic_dim,
                  "n_classes": state.model.n_classes},
-        "params": {name: p.data for name, p in state.model.named_params().items()},
+        "params": {name: p.data for name, p in state.model.params.items()},
         "adam": {name: {"step_count": opt.step_count, "m": opt.m, "v": opt.v}
                  for name, opt in state.optimizers.items()},
         "pools": pools,
@@ -340,11 +341,10 @@ def restore_checkpoint(path: str) -> CheckpointData:
         raise ValueError(f"checkpoint dims/n_classes is {n_classes}, but "
                          f"seen_species lists {len(seen_species)} species")
     model = mdl.FusionGan(config, visual, semantic, n_classes)
-    params = model.named_params()
     stored = _require_field(document, "params", dict)
-    if set(stored) != set(params):
+    if set(stored) != set(model.params):
         raise ValueError("checkpoint parameter names do not match the model")
-    for name, p in params.items():
+    for name, p in model.params.items():
         p.data = decode_array(stored[name], f"params/{name}", p.shape)
     adam_doc = _require_field(document, "adam", dict)
     optimizers = build_optimizers(model, config.learning_rate)

@@ -98,7 +98,7 @@ class TestCriterion1GradientCorrectness:
 
         check("l_d",
               lambda: mdl.loss_discriminator(model.discriminator, real, fake, labels),
-              model.discriminator_params())
+              model.group("discriminator/"))
 
         for level in LEVELS:
             def loss_fn(level=level):
@@ -107,8 +107,7 @@ class TestCriterion1GradientCorrectness:
                                           centers[level])
             check(f"l_g_{level}",
                   loss_fn,
-                  list(model.generators[level].named_params().values())
-                  + model.discriminator_params())
+                  model.group(f"generator/{level}/") + model.group("discriminator/"))
 
         def fusion_loss():
             _, fused, _ = model.generate_fused(t, z)
@@ -119,8 +118,8 @@ class TestCriterion1GradientCorrectness:
             return ad.add(ad.add(base, er), nr)
 
         check("l_fm", fusion_loss,
-              model.fusion_params() + model.generator_params()
-              + model.discriminator_params())
+              model.group("fusion/") + model.group("generator/")
+              + model.group("discriminator/"))
 
         elapsed = time.perf_counter() - started
         total = sum(checked.values())
@@ -334,8 +333,8 @@ class TestCriterion8DeterminismPersistence:
                       "harmonic", "best_harmonic", "ausuc"):
             assert abs(getattr(metrics_straight, field)
                        - getattr(metrics_resumed, field)) <= 1e-9
-        for name, p in a.model.named_params().items():
-            np.testing.assert_allclose(p.data, resumed.model.named_params()[name].data,
+        for name, p in a.model.params.items():
+            np.testing.assert_allclose(p.data, resumed.model.params[name].data,
                                        atol=1e-9, rtol=0)
         report("criterion 8 PASS: identical seeds give identical report hashes "
                "(timing column excluded); a mid-run checkpoint resume matches "

@@ -150,8 +150,8 @@ class TestTrain:
                    "--resume", first / "checkpoint.json", "--steps", 4) == 0
         a = tr.restore_checkpoint(str(straight / "checkpoint.json"))
         b = tr.restore_checkpoint(str(resumed / "checkpoint.json"))
-        for name, p in a.model.named_params().items():
-            np.testing.assert_array_equal(p.data, b.model.named_params()[name].data)
+        for name, p in a.model.params.items():
+            np.testing.assert_array_equal(p.data, b.model.params[name].data)
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
         assert file_hash(straight / "checkpoint.json") == file_hash(resumed / "checkpoint.json")
 
@@ -292,6 +292,7 @@ BAD_VALUES = [
     ("train", {"lambda": -1}, [], None, "lambda must be >= 0, got -1.0"),
     ("train", {"lambda": float("nan")}, [], None, "lambda must be finite, got nan"),
     ("train", None, ["--lambda", -2], None, "lambda must be >= 0, got -2.0"),
+    ("train", {"lam": 0.25, "lambda": 0.5}, [], None, "gives both 'lam' and 'lambda'"),
     ("train", {"offspring_budget": 1}, [], None, "offspring_budget must be even, got 1"),
     # A gen-data range error names the setting, not the SyntheticSpec field.
     ("gen-data", None, ["--genera", 0], None, "genera must be >= 1, got 0"),
@@ -397,6 +398,13 @@ class TestBadInput:
                         config={key: 3})
 
     @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "retrieve"])
+    def test_config_not_utf8_rejected(self, tmp_path, command_inputs, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert_rejected(tmp_path, capsys, command, command_inputs[command],
+                        f"malformed config file {path}: ", flags=["--config", path])
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "retrieve"])
     def test_unsupported_numpy_rejected(self, tmp_path, command_inputs, capsys,
                                         monkeypatch, command):
         monkeypatch.setattr(np, "__version__", "1.26.4")
@@ -422,7 +430,7 @@ class TestBadInput:
         assert resolved(seed=9)["seed"] == 9
         assert resolved("--seed", 4, seed=9)["seed"] == 4
         assert resolved(lam=0.25)["lam"] == 0.25
-        assert resolved(**{"lambda": 0.5, "lam": 0.25})["lam"] == 0.5
+        assert resolved(**{"lambda": 0.5})["lam"] == 0.5
         assert resolved("--lambda", 0.75, **{"lambda": 0.5})["lam"] == 0.75
         assert resolved(batch_size=7)["batch_size"] == 7
 

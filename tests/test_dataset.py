@@ -368,6 +368,10 @@ class TestPersistence:
             path.write_text(text)
             with pytest.raises(ValueError, match=message):
                 load_bundle(str(path))
+        # Not UTF-8 (a UTF-16 byte-order mark): the error names the file.
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValueError, match=f"^malformed dataset file {re.escape(str(path))}: "):
+            load_bundle(str(path))
 
     @pytest.mark.parametrize("dims", [(0, 2), (2, 0)])
     def test_widths_below_one_rejected(self, tmp_path, dims):

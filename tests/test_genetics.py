@@ -276,7 +276,7 @@ def captured_loss_er(monkeypatch, pools, species_under, seed, batch_size, noise_
     return seen[0]
 
 
-class TestPoolIndex:
+class TestEnhancedDraw:
     """How ``loss_er`` maps a drawn index to one pooled vector and its key."""
 
     def test_matches_flattened_list(self, monkeypatch):
@@ -430,7 +430,7 @@ class TestPoolLosses:
 
     def test_nr_uniform_posterior_zeroes_mismatch(self):
         bundle, datasets, centers, model = desk_context()
-        for p in model.discriminator.named_params().values():
+        for p in model.group("discriminator/"):
             p.data[...] = 0.0
         t_batch = datasets["species"].semantics[:3]
         z = np.zeros((3, model.noise_dim))

@@ -30,7 +30,7 @@ class TestGenerate:
     def test_zero_parameters_give_zero_output(self):
         m = small_model()
         gen = m.generators["species"]
-        for p in gen.named_params().values():
+        for p in m.group("generator/species/"):
             p.data[...] = 0.0
         t, z = batch_inputs(np.random.default_rng(0))
         out = mdl.generate(gen, t, z)
@@ -63,7 +63,7 @@ class TestGenerate:
 class TestDiscriminate:
     def test_zero_heads_give_zero_realness_and_uniform_softmax(self):
         m = small_model()
-        for p in m.discriminator.named_params().values():
+        for p in m.group("discriminator/"):
             p.data[...] = 0.0
         realness, logits = mdl.discriminate(m.discriminator, Tensor(np.ones((3, 6))))
         np.testing.assert_array_equal(realness.data, np.zeros((3, 1)))
@@ -212,7 +212,7 @@ class TestLosses:
 
     def test_uniform_logits_classification_is_log_k(self):
         m = small_model(n_classes=5)
-        for p in m.discriminator.named_params().values():
+        for p in m.group("discriminator/"):
             p.data[...] = 0.0
         loss = mdl.adversarial_and_classification(
             m.discriminator, Tensor(np.ones((3, 6))), np.array([0, 2, 4]))
@@ -253,7 +253,7 @@ class TestLosses:
         real = rng.normal(2.0, 0.2, (8, 6))
         fake = rng.normal(-2.0, 0.2, (8, 6))
         labels = rng.integers(0, 5, 8)
-        params = m.discriminator_params()
+        params = m.group("discriminator/")
         ad.clip_weights(m.discriminator.critic_params(), 0.01)
         opt = ad.AdamState(params, lr=1e-3)
         history = []
@@ -276,7 +276,7 @@ class TestLosses:
             generated = mdl.generate(m.generators["species"], t, z)
             return mdl.loss_generator(m.discriminator, generated, labels, centers)
 
-        leaves = list(m.generators["species"].named_params().values())
+        leaves = m.group("generator/species/")
         assert_grads_match(loss_fn, leaves, rng, coords_per_leaf=6)
 
 
@@ -289,8 +289,8 @@ class TestLosses:
         losses = [mdl.loss_generator(m.discriminator, features[level], labels,
                                      rng.normal(0, 1, (5, 6))) for level in LEVELS]
         loss = ad.add(ad.add(losses[0], losses[1]), losses[2])
-        gen = m.generator_params()
-        full = ad.backward(loss, wrt=gen + m.discriminator_params())
+        gen = m.group("generator/")
+        full = ad.backward(loss, wrt=gen + m.group("discriminator/"))
         alone = ad.backward(loss, wrt=gen)
         assert [g.tobytes() for g in alone] == [g.tobytes() for g in full[:len(gen)]]
 
@@ -351,7 +351,7 @@ class TestInitialization:
         draw("discriminator", ("1", 6, 8), ("2", 8, 7), ("_real", 7, 1), ("_cls", 7, 5))
         for level in LEVELS:
             draw(f"fusion/{level}", ("1", 6, 5), ("2", 5, 1))
-        params = small_model(seed=seed).named_params()
+        params = small_model(seed=seed).params
         assert list(params) == list(expected)
         for name, values in expected.items():
             assert params[name].shape == values.shape, name
@@ -361,12 +361,16 @@ class TestInitialization:
 class TestFusionGan:
     def test_parameter_inventory(self):
         m = small_model()
-        names = m.named_params()
-        assert len(names) == 32
-        assert len(m.generator_params()) == 12
-        assert len(m.discriminator_params()) == 8
-        assert len(m.fusion_params()) == 12
-        assert len(m.discriminator.critic_params()) == 6
+        assert len(m.params) == 32
+        groups = [m.group(prefix) for prefix in ("generator/", "discriminator/", "fusion/")]
+        assert [len(group) for group in groups] == [12, 8, 12]
+        # The groups split the table: in order, none left over, none counted twice.
+        split = [id(p) for group in groups for p in group]
+        assert split == [id(p) for p in m.params.values()]
+        assert len(set(split)) == 32
+        critic = m.discriminator.critic_params()
+        assert len(critic) == 6
+        assert {id(p) for p in critic} <= {id(p) for p in groups[1]}
 
     def test_generate_fused_modes(self):
         adaptive = small_model(seed=16)
@@ -389,7 +393,7 @@ class TestFusionGan:
             small_model(fusion_mode="max")
 
     def test_same_seed_same_init(self):
-        a = small_model(seed=21).named_params()
-        b = small_model(seed=21).named_params()
+        a = small_model(seed=21).params
+        b = small_model(seed=21).params
         for name in a:
             np.testing.assert_array_equal(a[name].data, b[name].data)

@@ -70,7 +70,7 @@ def one_shot_checkpoint_text(state):
                  "semantic": state.model.semantic_dim,
                  "n_classes": state.model.n_classes},
         "params": {name: encode_array(p.data)
-                   for name, p in state.model.named_params().items()},
+                   for name, p in state.model.params.items()},
         "adam": adam,
         "pools": pools_doc,
     })
@@ -112,8 +112,8 @@ def assert_resumed_matches(straight: tr.TrainResult, resumed: tr.TrainResult):
     ``seconds``."""
     a, b = straight.state, resumed.state
     assert a.loop_index == b.loop_index
-    for name, p in a.model.named_params().items():
-        assert p.data.tobytes() == b.model.named_params()[name].data.tobytes()
+    for name, p in a.model.params.items():
+        assert p.data.tobytes() == b.model.params[name].data.tobytes()
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
     for name, opt in a.optimizers.items():
         assert opt.step_count == b.optimizers[name].step_count
@@ -230,8 +230,8 @@ class TestSchedule:
         assert result.report.d_updates == 0
         fresh = mdl.FusionGan(config, bundle.visual_dim, bundle.semantic_dim,
                               len(bundle.seen_ids))
-        for name, p in fresh.named_params().items():
-            np.testing.assert_array_equal(result.model.named_params()[name].data, p.data)
+        for name, p in fresh.params.items():
+            np.testing.assert_array_equal(result.model.params[name].data, p.data)
 
     def test_five_discriminator_updates_per_loop(self):
         result = tr.train(small_config(steps=4), small_bundle())
@@ -266,9 +266,9 @@ class TestSchedule:
         result = tr.train(config, bundle)
         fresh = mdl.FusionGan(config, bundle.visual_dim, bundle.semantic_dim,
                               len(bundle.seen_ids))
-        for name, p in result.model.named_params().items():
+        for name, p in result.model.params.items():
             if name.startswith("fusion/"):
-                np.testing.assert_array_equal(p.data, fresh.named_params()[name].data)
+                np.testing.assert_array_equal(p.data, fresh.params[name].data)
 
     def test_divergence_aborts_with_loop_index(self):
         config = small_config(steps=3, n_nfg=0, learning_rate=1e200)
@@ -295,7 +295,7 @@ class TestTape:
         config = small_config(steps=3, n_nfg=0, kappa1=0.3, kappa2=0.1,
                               fusion_mode=fusion_mode)
         state = tr.train(dataclasses.replace(config, steps=0), bundle).state
-        params = {id(p) for p in state.model.named_params().values()}
+        params = {id(p) for p in state.model.params.values()}
         backward, calls = ad.backward, []
 
         def checked_backward(loss, *, wrt):
@@ -330,8 +330,8 @@ class TestDeterminism:
         a = tr.train(small_config(steps=3, n_nfg=1), small_bundle())
         b = tr.train(small_config(steps=3, n_nfg=1), small_bundle())
         assert csv_without_seconds(a.report) == csv_without_seconds(b.report)
-        for name, p in a.model.named_params().items():
-            np.testing.assert_array_equal(p.data, b.model.named_params()[name].data)
+        for name, p in a.model.params.items():
+            np.testing.assert_array_equal(p.data, b.model.params[name].data)
 
     def test_different_seed_changes_report(self):
         a = tr.train(small_config(steps=3), small_bundle())
@@ -351,14 +351,14 @@ class TestCheckpoint:
         path = tmp_path / "run.ckpt"
         tr.save_checkpoint(str(path), result.state)
         restored = tr.restore_checkpoint(str(path))
-        for name, p in result.model.named_params().items():
-            np.testing.assert_array_equal(p.data, restored.model.named_params()[name].data)
-            assert restored.model.named_params()[name].data.flags.writeable
+        for name, p in result.model.params.items():
+            np.testing.assert_array_equal(p.data, restored.model.params[name].data)
+            assert restored.model.params[name].data.flags.writeable
         assert restored.loop_index == 3
         assert restored.rng.bit_generator.state == result.state.rng.bit_generator.state
-        groups = {"discriminator": restored.model.discriminator_params(),
-                  "generators": restored.model.generator_params(),
-                  "fusion": restored.model.fusion_params()}
+        groups = {"discriminator": restored.model.group("discriminator/"),
+                  "generators": restored.model.group("generator/"),
+                  "fusion": restored.model.group("fusion/")}
         assert list(restored.optimizers) == list(result.state.optimizers) == list(groups)
         for name, opt in result.state.optimizers.items():
             stored = restored.optimizers[name]
@@ -429,14 +429,14 @@ class TestCheckpoint:
         resumes bit for bit."""
         bundle = small_bundle()
         state = tr.train(small_config(steps=2, n_nfg=1), bundle).state
-        params = {n: p.data.tobytes() for n, p in state.model.named_params().items()}
+        params = {n: p.data.tobytes() for n, p in state.model.params.items()}
         rng_state = state.rng.bit_generator.state
         with pytest.raises(ValueError, match=f"only steps may change: {name}$"):
             tr.train(small_config(steps=4, n_nfg=1, **{name: value}), bundle,
                      resume=state)
         assert state.loop_index == 2 and state.config == small_config(steps=2, n_nfg=1)
         assert state.rng.bit_generator.state == rng_state
-        assert {n: p.data.tobytes() for n, p in state.model.named_params().items()} == params
+        assert {n: p.data.tobytes() for n, p in state.model.params.items()} == params
         resumed = tr.train(small_config(steps=4, n_nfg=1), bundle, resume=state)
         assert_resumed_matches(tr.train(small_config(steps=4, n_nfg=1), bundle), resumed)
 
@@ -479,6 +479,9 @@ class TestCheckpoint:
             path.write_text(text)
             with pytest.raises(ValueError, match=message):
                 tr.restore_checkpoint(str(path))
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValueError, match=f"^malformed checkpoint {re.escape(str(path))}: "):
+            tr.restore_checkpoint(str(path))
 
     def test_corrupted_array_entries_are_named(self, tmp_path):
         path, document = saved_checkpoint(tmp_path)
