@@ -238,13 +238,3 @@ def novel_terms(model: FusionGan, t_batch: Array, z: Array, lam: float) -> Tenso
     mismatch = ad.scalar_mul(ad.l2_squared_distance(probs, uniform), 1.0 / n)
     return ad.add(term_real, ad.scalar_mul(mismatch, lam))
 
-
-def loss_fusion(model: FusionGan, fused: Tensor, labels: Array, pools: Pools,
-                species_under: dict[tuple[str, int], list[int]], lam: float,
-                rng: np.random.Generator, batch_size: int) -> tuple[Tensor, float, float]:
-    """Fusion-module loss: critic + classification terms on the fused batch
-    plus the two pool losses. Returns (total, er value, nr value)."""
-    base = adversarial_and_classification(model.discriminator, fused, labels)
-    er = loss_er(model, pools, species_under, rng, batch_size)
-    nr = loss_nr(model, pools, lam, rng, batch_size)
-    return ad.add(ad.add(base, er), nr), er.item(), nr.item()

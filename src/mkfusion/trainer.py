@@ -3,6 +3,7 @@ schedule, offspring generation and gating, optimizer steps, and checkpoints."""
 
 from __future__ import annotations
 
+import functools
 import re
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -22,6 +23,11 @@ CHECKPOINT_VERSION = 3
 # A checkpoint's Adam names -> the parameter-name prefix each optimizer updates.
 ADAM_GROUPS = {"discriminator": "discriminator/", "generators": "generator/",
                "fusion": "fusion/"}
+# Each optimizer -> the taped loss terms it descends, summed left to right
+# (README § Training objective gives them in f-CLSWGAN notation).
+OBJECTIVES = {"discriminator": ("l_d",),
+              "generators": ("l_g_species", "l_g_genus", "l_g_family"),
+              "fusion": ("l_fused", "l_er", "l_nr")}
 
 
 @dataclass
@@ -153,14 +159,16 @@ class _Session:
         if len(self.datasets["species"]) == 0:
             raise ValueError("training requires seen samples")
         self.groups = species_groups(bundle)
-        self.centers = {level: compute_visual_centers(self.datasets[level])
-                        for level in LEVELS}
+        # Per level: the class centers as rows in class-id order, and each sample's row.
+        self.centers = {level: np.stack(list(compute_visual_centers(ds).values()))
+                        for level, ds in self.datasets.items()}
+        self.center_index = {level: np.searchsorted(ds.class_ids, ds.labels)
+                             for level, ds in self.datasets.items()}
         self.dense_labels = np.searchsorted(bundle.seen_ids,
                                             self.datasets["species"].labels)
-        self.semantic_dim = bundle.semantic_dim
         self.config, self.model, self.pools, self.rng = (state.config, state.model,
                                                          state.pools, state.rng)
-        self.opt_d, self.opt_g, self.opt_f = (state.optimizers[name] for name in ADAM_GROUPS)
+        self.optimizers = state.optimizers
         self.critic = state.model.discriminator.critic_params()
 
     def run_nfg_phase(self) -> None:
@@ -171,10 +179,10 @@ class _Session:
         offspring, center_rows, origins = [], [], []
         for _ in range(pairs):
             level, class_id, t_a, t_b = gn.sample_parents(self.datasets, self.pools, rng)
-            draw = gn.GeneticDraw.sample(self.semantic_dim, rng)
+            draw = gn.GeneticDraw.sample(self.model.semantic_dim, rng)
             offspring.append(gn.mutate(t_a, rng, draw))
             offspring.append(gn.crossover(t_a, t_b, draw))
-            center = self.centers[level][class_id]
+            center = self.centers[level][self.datasets[level].class_ids.index(class_id)]
             center_rows.extend([center, center])
             origins.extend([(level, class_id)] * 2)
         scores = gn.stability_scores(np.stack(offspring), self.model,
@@ -189,44 +197,45 @@ class _Session:
         z = rng.standard_normal((config.batch_size, config.noise_dim))
         return idx, self.datasets["species"].semantics[idx], z
 
+    def descend(self, terms: dict[str, ad.Tensor], *groups: str) -> dict[str, ad.Tensor]:
+        """Sum each group's ``OBJECTIVES`` terms, then take every gradient and
+        Adam step; summing mode leaves ``fusion`` untrained. The sums, by group."""
+        sums = {g: functools.reduce(ad.add, [terms[name] for name in OBJECTIVES[g]])
+                for g in groups}
+        trained = [g for g in groups if g != "fusion" or self.model.fusion_mode == "adaptive"]
+        grads = [ad.backward(sums[g], wrt=self.optimizers[g].params) for g in trained]
+        for group, group_grads in zip(trained, grads):
+            self.optimizers[group].step(group_grads)
+        ad.clear_graph()
+        return sums
+
     def discriminator_step(self) -> float:
         idx, t_batch, z = self.sample_batch()
         with ad.no_grad():
             _, fused, _ = self.model.generate_fused(t_batch, z)
-        loss = mdl.loss_discriminator(self.model.discriminator,
-                                      self.datasets["species"].visuals[idx],
-                                      fused.data, self.dense_labels[idx])
-        self.opt_d.step(ad.backward(loss, wrt=self.opt_d.params))
+        terms = {"l_d": mdl.loss_discriminator(self.model.discriminator,
+                                               self.datasets["species"].visuals[idx],
+                                               fused.data, self.dense_labels[idx])}
+        loss = self.descend(terms, "discriminator")["discriminator"]
         ad.clip_weights(self.critic, self.config.clip_c)
-        ad.clear_graph()
         return loss.item()
 
     def generator_fusion_step(self) -> dict[str, float]:
-        config = self.config
+        """One forward pass and the generator and fusion descents; returns the
+        report's columns: every term but ``l_fused``, and the fusion sum."""
+        model, n = self.model, self.config.batch_size
         idx, t_batch, z = self.sample_batch()
-        batch_labels = self.dense_labels[idx]
-        features, fused, _ = self.model.generate_fused(t_batch, z)
-        gen_losses = {}
-        for level in LEVELS:
-            labels = self.datasets[level].labels[idx].tolist()
-            rows = np.stack([self.centers[level][c] for c in labels])
-            gen_losses[level] = mdl.loss_generator(self.model.discriminator,
-                                                   features[level], batch_labels, rows)
-        total_gen = ad.add(ad.add(gen_losses[LEVELS[0]], gen_losses[LEVELS[1]]),
-                           gen_losses[LEVELS[2]])
-        loss_fm, er_value, nr_value = gn.loss_fusion(
-            self.model, fused, batch_labels, self.pools, self.groups, config.lam,
-            self.rng, config.batch_size)
-        values = {"l_g_species": gen_losses["species"].item(),
-                  "l_g_genus": gen_losses["genus"].item(),
-                  "l_g_family": gen_losses["family"].item(),
-                  "l_fm": loss_fm.item(), "l_er": er_value, "l_nr": nr_value}
-        gen_grads = ad.backward(total_gen, wrt=self.opt_g.params)
-        if self.model.fusion_mode == "adaptive":
-            self.opt_f.step(ad.backward(loss_fm, wrt=self.opt_f.params))
-        self.opt_g.step(gen_grads)
-        ad.clear_graph()
-        return values
+        labels = self.dense_labels[idx]
+        features, fused, _ = model.generate_fused(t_batch, z)
+        terms = {f"l_g_{level}": mdl.loss_generator(
+            model.discriminator, features[level], labels,
+            self.centers[level][self.center_index[level][idx]]) for level in LEVELS}
+        terms["l_fused"] = mdl.adversarial_and_classification(model.discriminator, fused, labels)
+        terms["l_er"] = gn.loss_er(model, self.pools, self.groups, self.rng, n)
+        terms["l_nr"] = gn.loss_nr(model, self.pools, self.config.lam, self.rng, n)
+        sums = self.descend(terms, "generators", "fusion")
+        del terms["l_fused"]
+        return {name: t.item() for name, t in terms.items()} | {"l_fm": sums["fusion"].item()}
 
 
 def train(config: TrainConfig, bundle: DatasetBundle,
@@ -283,7 +292,7 @@ def train(config: TrainConfig, bundle: DatasetBundle,
                 loop=loop, enhanced_size=state.pools.enhanced.size,
                 novel_size=state.pools.novel.size,
                 seconds=time.perf_counter() - started, **values))
-    report = TrainReport(rows=rows, d_updates=session.opt_d.step_count)
+    report = TrainReport(rows, d_updates=state.optimizers["discriminator"].step_count)
     return TrainResult(model=state.model, pools=state.pools, report=report, state=state)
 
 
@@ -377,7 +386,7 @@ def restore_checkpoint(path: str) -> CheckpointData:
     rng = np.random.default_rng()
     try:
         rng.bit_generator.state = rng_state
-    except (TypeError, ValueError, KeyError) as err:
+    except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise ValueError(f"checkpoint rng_state: {err!r}") from None
     return CheckpointData(config=config, model=model, pools=pools,
                           loop_index=require_count(document, "loop_index", 0,

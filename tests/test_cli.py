@@ -320,6 +320,9 @@ BAD_FIELDS = [
     ("checkpoint", ("seen_species",), 5, "seen_species"),
     ("checkpoint", ("loop_index",), [1], "loop_index"),
     ("checkpoint", ("rng_state", "bit_generator"), "MT19937", "rng_state"),
+    ("checkpoint", ("rng_state", "uinteger"), -1, "rng_state"),
+    ("checkpoint", ("rng_state", "uinteger"), 2**64, "rng_state"),
+    ("checkpoint", ("rng_state", "has_uint32"), 2**63, "rng_state"),
     ("checkpoint", ("pools", "enhanced/kingdom/0"), encode_array(np.zeros((0, 5))),
      "enhanced/kingdom/0"),
     ("checkpoint", ("pools", "enhanced/species/07"), encode_array(np.zeros((0, 5))),

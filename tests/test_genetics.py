@@ -453,28 +453,6 @@ class TestPoolLosses:
         with pytest.raises(ValueError, match="non-negative"):
             gn.loss_nr(model, gn.Pools(), -1.0, np.random.default_rng(0), 4)
 
-    def test_fusion_loss_is_sum_of_terms(self):
-        bundle, datasets, centers, model = desk_context(seed=8)
-        species_under, label_index = label_context(bundle)
-        pools = gn.Pools()
-        pools.enhanced.add("species", int(datasets["species"].labels[0]),
-                           datasets["species"].semantics[0])
-        pools.novel.add(datasets["species"].semantics[1])
-        rng = np.random.default_rng(17)
-        t, z = datasets["species"].semantics[:4], rng.standard_normal((4, model.noise_dim))
-        _, fused, _ = model.generate_fused(t, z)
-        labels = np.array([label_index[int(s)] for s in
-                           datasets["species"].labels[:4]])
-        seed_state = rng.bit_generator.state
-        total, er_value, nr_value = gn.loss_fusion(
-            model, fused, labels, pools, species_under, lam=1.0, rng=rng,
-            batch_size=4)
-        with ad.no_grad():
-            base = mdl.adversarial_and_classification(model.discriminator,
-                                                      ad.Tensor(fused.data), labels)
-        assert total.item() == pytest.approx(base.item() + er_value + nr_value,
-                                             rel=1e-12)
-
     def test_uniform_target_width_matches_seen_classes(self):
         _, _, _, model = desk_context()
         assert model.n_classes == model.discriminator.params["w_cls"].shape[1]

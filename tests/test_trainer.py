@@ -16,8 +16,8 @@ from mkfusion import autodiff as ad
 from mkfusion import evaluation as ev
 from mkfusion import model as mdl
 from mkfusion import trainer as tr
-from mkfusion.dataset import (DatasetBundle, SyntheticSpec, encode_array, generate_synthetic,
-                              load_bundle, save_bundle)
+from mkfusion.dataset import (LEVELS, DatasetBundle, SyntheticSpec, compute_visual_centers,
+                              encode_array, generate_synthetic, load_bundle, save_bundle)
 from mkfusion.trainer import TrainConfig
 
 
@@ -282,6 +282,81 @@ class TestSchedule:
                                unseen_ids=bundle.taxonomy[:, 0])
         with pytest.raises(ValueError, match="seen"):
             tr.train(small_config(), broken)
+
+
+class TestObjectives:
+    def test_pool_losses_train_only_the_fusion_network(self):
+        assert tr.OBJECTIVES.keys() == tr.ADAM_GROUPS.keys()
+        for group, names in tr.OBJECTIVES.items():
+            pool_terms = {"l_er", "l_nr"} & set(names)
+            assert pool_terms == ({"l_er", "l_nr"} if group == "fusion" else set())
+
+    def test_fusion_objective_is_sum_of_terms(self, monkeypatch):
+        bundle = small_bundle()
+        state = pooled_run().state
+        descend, seen = tr._Session.descend, []
+
+        def recorded(session, terms, *groups):
+            values = {name: t.item() for name, t in terms.items()}
+            sums = descend(session, terms, *groups)
+            seen.append((values, {group: t.item() for group, t in sums.items()}))
+            return sums
+
+        monkeypatch.setattr(tr._Session, "descend", recorded)
+        report = tr._Session(bundle, state).generator_fusion_step()
+        values, sums = seen[-1]
+        assert values["l_er"] != 0.0 and values["l_nr"] != 0.0
+        assert sums["fusion"] == pytest.approx(
+            values["l_fused"] + values["l_er"] + values["l_nr"], rel=1e-12)
+        assert report["l_fm"] == sums["fusion"]
+
+    def test_generator_step_pulls_toward_each_samples_class_center(self, monkeypatch):
+        """The center rows that the generator step gathers by index are, bit
+        for bit, each batch sample's class center at that level."""
+        bundle = small_bundle()
+        session = tr._Session(bundle, tr.initial_state(small_config(), bundle))
+        sample_batch, loss_generator, batches, rows = (session.sample_batch,
+                                                       mdl.loss_generator, [], [])
+
+        def recorded_batch():
+            batches.append(sample_batch())
+            return batches[-1]
+
+        def recorded_loss(disc, generated, labels, center_rows):
+            rows.append(center_rows)
+            return loss_generator(disc, generated, labels, center_rows)
+
+        monkeypatch.setattr(session, "sample_batch", recorded_batch)
+        monkeypatch.setattr(mdl, "loss_generator", recorded_loss)
+        session.generator_fusion_step()
+        idx = batches[0][0]
+        assert len(rows) == len(LEVELS)
+        for level, gathered in zip(LEVELS, rows):
+            ds = session.datasets[level]
+            centers = compute_visual_centers(ds)
+            expected = np.stack([centers[c] for c in ds.labels[idx].tolist()])
+            assert gathered.tobytes() == expected.tobytes()
+
+    def test_every_parameter_but_b_real_gets_a_gradient(self, monkeypatch):
+        """One critic and one generator/fusion step of a default-config
+        session reach every parameter but ``discriminator/b_real``, whose
+        gradient cancels out of mean(realness(fake)) - mean(realness(real))."""
+        bundle = small_bundle()
+        state = tr.initial_state(TrainConfig(), bundle)
+        backward, grads = ad.backward, {}
+
+        def recorded(loss, *, wrt):
+            result = backward(loss, wrt=wrt)
+            grads.update(zip(map(id, wrt), result))
+            return result
+
+        monkeypatch.setattr(ad, "backward", recorded)
+        session = tr._Session(bundle, state)
+        session.discriminator_step()
+        session.generator_fusion_step()
+        assert len(grads) == len(state.model.params)
+        dead = [name for name, p in state.model.params.items() if not grads[id(p)].any()]
+        assert dead == ["discriminator/b_real"]
 
 
 class TestTape:
