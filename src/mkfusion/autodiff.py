@@ -123,27 +123,26 @@ def _require_shape(cond: bool, op: str, *shapes: tuple[int, ...]) -> None:
 # Operations
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _require_shape(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0],
-                   "matmul", a.shape, b.shape)
+def matmul(a: Tensor, b: Tensor, *, bias: Tensor) -> Tensor:
+    """``a @ b`` with ``bias`` added to every row: one dense layer, one node."""
+    _require_shape(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0]
+                   and bias.shape == (b.shape[1],), "matmul", a.shape, b.shape, bias.shape)
     ad, bd = a.data, b.data
+    out = ad @ bd
+    out += bias.data  # in place on the fresh product, before it is recorded
 
     def vjp(g: Array, need):
-        return g @ bd.T if need[0] else None, ad.T @ g if need[1] else None
+        return (g @ bd.T if need[0] else None, ad.T @ g if need[1] else None,
+                g.sum(axis=0) if need[2] else None)
 
-    return _record((a, b), ad @ bd, vjp)
+    return _record((a, b, bias), out, vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    # Equal shapes, or matrix + row vector (bias added to every row).
-    if a.shape == b.shape:
-        return _record((a, b), a.data + b.data,
-                       lambda g, need: (g if need[0] else None, g if need[1] else None))
-    _require_shape(a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0],
-                   "add", a.shape, b.shape)
+    # Equal shapes only: a dense layer's bias is added by ``matmul``.
+    _require_shape(a.shape == b.shape, "add", a.shape, b.shape)
     return _record((a, b), a.data + b.data,
-                   lambda g, need: (g if need[0] else None,
-                                    g.sum(axis=0) if need[1] else None))
+                   lambda g, need: (g if need[0] else None, g if need[1] else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

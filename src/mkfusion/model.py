@@ -36,7 +36,7 @@ def _layers(rng: np.random.Generator, *layers: tuple[str, int, int]) -> dict[str
 def _dense(x: Tensor, table: dict[str, Tensor], name: str,
            alpha: float | None = None) -> Tensor:
     """``x @ w<name> + b<name>``, then a leaky ReLU when ``alpha`` is given."""
-    y = ad.add(ad.matmul(x, table[f"w{name}"]), table[f"b{name}"])
+    y = ad.matmul(x, table[f"w{name}"], bias=table[f"b{name}"])
     return y if alpha is None else ad.leaky_relu(y, alpha=alpha)
 
 

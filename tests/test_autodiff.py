@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def t(data):
 
 class TestForward:
     def test_matmul_identity(self):
-        out = ad.matmul(t([[1.0, 2.0], [3.0, 4.0]]), t(np.eye(2)))
+        out = ad.matmul(t([[1.0, 2.0], [3.0, 4.0]]), t(np.eye(2)), bias=t(np.zeros(2)))
         np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_analytic_pointwise_values(self):
@@ -38,9 +40,24 @@ class TestForward:
 
     def test_shape_mismatch_reports_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\)"):
-            ad.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))))
+            ad.matmul(t(np.zeros((2, 3))), t(np.zeros((2, 3))), bias=t(np.zeros(3)))
         with pytest.raises(ValueError):
             ad.sub(t(np.zeros(3)), t(np.zeros(4)))
+        with pytest.raises(ValueError) as err:
+            ad.matmul(t(np.zeros((2, 3))), t(np.zeros((3, 4))), bias=t(np.zeros(5)))
+        assert str(err.value) == "matmul: incompatible shapes (2, 3) vs (3, 4) vs (5,)"
+        # A bias goes through matmul only: add takes equal shapes.
+        with pytest.raises(ValueError) as err:
+            ad.add(t(np.zeros((2, 4))), t(np.zeros(4)))
+        assert str(err.value) == "add: incompatible shapes (2, 4) vs (4,)"
+        assert ad.active_graph() == []
+
+    def test_matmul_bias_is_keyword_only_and_required(self):
+        x, w, b = t(np.zeros((2, 3))), t(np.zeros((3, 4))), t(np.zeros(4))
+        with pytest.raises(TypeError):
+            ad.matmul(x, w)
+        with pytest.raises(TypeError):
+            ad.matmul(x, w, b)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -96,8 +113,8 @@ class TestBackward:
         target = t(rng.normal(0, 1, (6, 3)))
 
         def loss_fn():
-            h = ad.leaky_relu(ad.add(ad.matmul(x, w1), b1), alpha=0.2)
-            out = ad.add(ad.matmul(h, w2), b2)
+            h = ad.leaky_relu(ad.matmul(x, w1, bias=b1), alpha=0.2)
+            out = ad.matmul(h, w2, bias=b2)
             return ad.scalar_mul(ad.l2_squared_distance(out, target), 1.0 / 6)
 
         assert_grads_match(loss_fn, [w1, b1, w2, b2], rng, h=1e-4)
@@ -188,38 +205,40 @@ class TestLeakyReluBits:
 class TestVjpNeeds:
     """A vjp computes gradients only for the inputs marked as needed."""
 
-    @pytest.mark.parametrize("case", ["matmul", "add", "add-bias", "sub", "mul",
-                                      "mul-column", "div", "l2-squared-distance",
-                                      "cosine-similarity"])
+    @pytest.mark.parametrize("case", ["matmul", "add", "sub", "mul", "mul-column", "div",
+                                      "l2-squared-distance", "cosine-similarity"])
     def test_unneeded_inputs_get_none(self, case):
         rng = np.random.default_rng(hash(case) % (2 ** 31))
         inputs = OP_CASES[case](rng)
         out = (OP_BUILDERS.get(case) or ad.OPS[case])(*inputs)
         (node,) = ad.active_graph()
         g = rng.normal(0, 1, out.shape)
-        both = node.vjp(g, (True, True))
-        assert node.vjp(g, (False, False)) == (None, None)
-        first, none = node.vjp(g, (True, False))
-        none_too, second = node.vjp(g, (False, True))
-        assert none is None and none_too is None
-        assert bits(first) == bits(both[0]) and bits(second) == bits(both[1])
+        every = node.vjp(g, (True,) * len(inputs))
+        for need in itertools.product((False, True), repeat=len(inputs)):
+            got = node.vjp(g, need)
+            assert len(got) == len(inputs)
+            for needed, grad, full in zip(need, got, every):
+                if needed:
+                    assert bits(grad) == bits(full)
+                else:
+                    assert grad is None
 
     def test_data_matrix_gradient_is_not_computed(self):
         x = t(np.ones((2, 3)))
         w = t(np.ones((3, 4)))
-        loss = ad.reduce_sum(ad.matmul(x, w))
+        loss = ad.reduce_sum(ad.matmul(x, w, bias=t(np.zeros(4))))
         calls = []
         node = ad.active_graph()[0]
         vjp = node.vjp
         node.vjp = lambda g, need: calls.append(need) or vjp(g, need)
         ad.backward(loss, wrt=[w])
-        assert calls == [(False, True)]
+        assert calls == [(False, True, False)]
 
 
 OP_CASES = {
-    "matmul": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (4, 2)))),
+    "matmul": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (4, 2))),
+                           t(rng.normal(0, 1, 2))),
     "add": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (3, 4)))),
-    "add-bias": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, 4))),
     "sub": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (3, 4)))),
     "mul": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (3, 4)))),
     "mul-column": lambda rng: (t(rng.normal(0, 1, (3, 4))), t(rng.normal(0, 1, (3, 1)))),
@@ -241,7 +260,7 @@ OP_CASES = {
 }
 
 OP_BUILDERS = {
-    "add-bias": ad.add,
+    "matmul": lambda a, b, bias: ad.matmul(a, b, bias=bias),
     "mul-column": ad.mul,
 }
 

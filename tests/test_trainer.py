@@ -364,6 +364,11 @@ class TestTape:
     what ``backward`` can reach if no op in a training step runs on data
     alone, and evaluation runs with gradients off."""
 
+    # The tape's length at each backward of a loop whose pools are both
+    # non-empty: five critic steps, then the generator/fusion step, which
+    # builds every sum before its first backward. A dense layer is one node.
+    TAPE_PER_LOOP = {"adaptive": 5 * [16] + 2 * [168], "summing": 5 * [16] + [117]}
+
     @pytest.mark.parametrize("fusion_mode", ["adaptive", "summing"])
     def test_every_taped_op_has_a_parameter_input(self, monkeypatch, fusion_mode):
         bundle = small_bundle()
@@ -385,8 +390,9 @@ class TestTape:
         monkeypatch.setattr(ad, "backward", checked_backward)
         result = tr.train(config, bundle, resume=state)
         assert result.pools.enhanced.size > 0 and result.pools.novel.size > 0
-        per_loop = 7 if fusion_mode == "adaptive" else 6
-        assert len(calls) == 3 * per_loop and min(calls) > 0
+        per_loop = self.TAPE_PER_LOOP[fusion_mode]
+        assert len(calls) == 3 * len(per_loop) and min(calls) > 0
+        assert calls[-len(per_loop):] == per_loop
 
     def test_evaluation_leaves_the_tape_empty(self):
         bundle = small_bundle()
