@@ -42,38 +42,51 @@ class Tensor:
     A tensor built from caller data must be finite; op outputs are built
     without that scan. Whether an op on it is taped depends only on
     ``no_grad``, and which tensors are differentiated only on ``backward``'s
-    ``wrt``.
+    ``wrt``. Each assignment to ``data`` (``p.data -= step`` too) bumps
+    ``version``, so ``backward`` can refuse a node whose tensors changed after
+    it was recorded; the ops read the ``_data`` slot directly.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("_data", "version")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("tensor data contains non-finite entries")
-        self.data = arr
+        self._data = arr
+        self.version = 0
+
+    @property
+    def data(self) -> Array:
+        return self._data
+
+    @data.setter
+    def data(self, value: Array) -> None:
+        self._data = value
+        self.version += 1
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self._data.ndim
 
     def item(self) -> float:
-        return float(self.data)
+        return float(self._data)
 
 
 class _Node:
-    """One recorded operation: inputs, produced output, and its vector-Jacobian product."""
+    """One recorded operation: inputs, output, vjp, and the inputs' versions."""
 
-    __slots__ = ("inputs", "output", "vjp")
+    __slots__ = ("inputs", "output", "vjp", "versions")
 
     def __init__(self, inputs: tuple[Tensor, ...], output: Tensor, vjp: Vjp):
         self.inputs = inputs
         self.output = output
         self.vjp = vjp
+        self.versions = [t.version for t in inputs]
 
 
 # Append-only record of the forward pass; acyclic because inputs precede outputs.
@@ -108,7 +121,8 @@ def _record(inputs: tuple[Tensor, ...], out_data: Array, vjp: Vjp) -> Tensor:
     if type(out_data) is not np.ndarray:
         out_data = np.asarray(out_data)
     out = object.__new__(Tensor)
-    out.data = out_data
+    out._data = out_data
+    out.version = 0
     if _grad_enabled:
         _graph.append(_Node(inputs, out, vjp))
     return out
@@ -127,9 +141,9 @@ def matmul(a: Tensor, b: Tensor, *, bias: Tensor) -> Tensor:
     """``a @ b`` with ``bias`` added to every row: one dense layer, one node."""
     _require_shape(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0]
                    and bias.shape == (b.shape[1],), "matmul", a.shape, b.shape, bias.shape)
-    ad, bd = a.data, b.data
+    ad, bd = a._data, b._data
     out = ad @ bd
-    out += bias.data  # in place on the fresh product, before it is recorded
+    out += bias._data  # in place on the fresh product, before it is recorded
 
     def vjp(g: Array, need):
         return (g @ bd.T if need[0] else None, ad.T @ g if need[1] else None,
@@ -141,19 +155,19 @@ def matmul(a: Tensor, b: Tensor, *, bias: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     # Equal shapes only: a dense layer's bias is added by ``matmul``.
     _require_shape(a.shape == b.shape, "add", a.shape, b.shape)
-    return _record((a, b), a.data + b.data,
+    return _record((a, b), a._data + b._data,
                    lambda g, need: (g if need[0] else None, g if need[1] else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_shape(a.shape == b.shape, "sub", a.shape, b.shape)
-    return _record((a, b), a.data - b.data,
+    return _record((a, b), a._data - b._data,
                    lambda g, need: (g if need[0] else None, -g if need[1] else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     # Equal shapes, or matrix * column vector (each row scaled by one entry).
-    ad, bd = a.data, b.data
+    ad, bd = a._data, b._data
     if a.shape == b.shape:
         return _record((a, b), ad * bd, lambda g, need: (g * bd if need[0] else None,
                                                          g * ad if need[1] else None))
@@ -168,7 +182,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _require_shape(a.shape == b.shape, "div", a.shape, b.shape)
-    ad, bd = a.data, b.data
+    ad, bd = a._data, b._data
 
     def vjp(g: Array, need):
         return g / bd if need[0] else None, -g * ad / (bd * bd) if need[1] else None
@@ -178,37 +192,37 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _record((a,), a.data * c, lambda g, need: (g * c,))
+    return _record((a,), a._data * c, lambda g, need: (g * c,))
 
 
 def reduce_mean(a: Tensor) -> Tensor:
-    n = a.data.size
+    n = a._data.size
     shape = a.shape
-    return _record((a,), np.asarray(a.data.mean()),
+    return _record((a,), np.asarray(a._data.mean()),
                    lambda g, need: (np.full(shape, g / n),))
 
 
 def reduce_sum(a: Tensor) -> Tensor:
     shape = a.shape
-    return _record((a,), np.asarray(a.data.sum()),
+    return _record((a,), np.asarray(a._data.sum()),
                    lambda g, need: (np.full(shape, g),))
 
 
 def square(a: Tensor) -> Tensor:
-    ad = a.data
+    ad = a._data
     return _record((a,), ad * ad, lambda g, need: (2.0 * ad * g,))
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
+    if np.any(a._data <= 0.0):
         raise ValueError("log: input must be strictly positive")
-    ad = a.data
+    ad = a._data
     return _record((a,), np.log(ad), lambda g, need: (g / ad,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    e = np.exp(-np.abs(a.data))
-    out = np.where(a.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.exp(-np.abs(a._data))
+    out = np.where(a._data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _record((a,), out, lambda g, need: (g * out * (1.0 - out),))
 
 
@@ -216,7 +230,7 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     """x where x > 0, else alpha * x; ``alpha`` must lie in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"leaky_relu: alpha must lie in [0, 1], got {alpha!r}")
-    ad = a.data
+    ad = a._data
     # For 0 <= alpha <= 1 the larger of x and alpha*x is the leaky-relu, and the
     # larger of sign(x) and alpha is its slope (alpha at x = 0).
     return _record((a,), np.maximum(ad, alpha * ad),
@@ -226,7 +240,7 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor; rows are strictly positive and sum to 1."""
     _require_shape(a.ndim == 2, "softmax", a.shape)
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    shifted = a._data - a._data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
 
@@ -240,7 +254,7 @@ def softmax(a: Tensor) -> Tensor:
 def l2_squared_distance(a: Tensor, b: Tensor) -> Tensor:
     """Total squared distance sum((a - b)^2) over all entries, as a scalar."""
     _require_shape(a.shape == b.shape, "l2_squared_distance", a.shape, b.shape)
-    diff = a.data - b.data
+    diff = a._data - b._data
 
     def vjp(g: Array, need):
         return 2.0 * diff * g if need[0] else None, -2.0 * diff * g if need[1] else None
@@ -257,7 +271,7 @@ def cross_entropy_with_logits(logits: Tensor, labels: Array) -> Tensor:
         raise ValueError(f"cross_entropy_with_logits: expected {n} labels, got {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= k):
         raise ValueError("cross_entropy_with_logits: label out of range")
-    x = logits.data
+    x = logits._data
     xmax = x.max(axis=1, keepdims=True)
     lse = xmax[:, 0] + np.log(np.exp(x - xmax).sum(axis=1))
     picked = x[np.arange(n), labels]
@@ -275,7 +289,7 @@ def cross_entropy_with_logits(logits: Tensor, labels: Array) -> Tensor:
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     """Cosine of the angle between two 1-D vectors, as a scalar in [-1, 1]."""
     _require_shape(a.ndim == 1 and a.shape == b.shape, "cosine_similarity", a.shape, b.shape)
-    ad, bd = a.data, b.data
+    ad, bd = a._data, b._data
     na = float(np.linalg.norm(ad))
     nb = float(np.linalg.norm(bd))
     if na == 0.0 or nb == 0.0:
@@ -340,6 +354,9 @@ def backward(loss: Tensor, *, wrt: Sequence[Tensor]) -> list[Array]:
         g = pending.pop(id(node.output), None)
         if g is None:
             continue
+        if node.output.version or [t.version for t in node.inputs] != node.versions:
+            raise ValueError(f"backward: a tensor of a taped op (output shape "
+                             f"{node.output.shape}) was changed after the op was recorded")
         need = tuple(id(t) in live for t in node.inputs)
         for tensor, gin in zip(node.inputs, node.vjp(g, need)):
             if gin is not None:
@@ -403,8 +420,8 @@ class AdamState:
 
 
 def clip_weights(params: Iterable[Tensor], c: float) -> None:
-    """Clamp every entry of every parameter into [-c, c] in place."""
+    """Clamp every entry of every parameter into [-c, c]."""
     if c <= 0.0:
         raise ValueError("clip constant must be positive")
     for p in params:
-        np.clip(p.data, -c, c, out=p.data)
+        p.data = np.clip(p.data, -c, c)

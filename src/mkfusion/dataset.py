@@ -102,7 +102,7 @@ class DatasetBundle:
             raise ValueError("sample visual matrix does not match the sample species")
         for name, width in (("visual", self.visual_dim), ("semantic", self.semantic_dim)):
             if width < 1:
-                raise ValueError(f"dataset dims/{name} must be at least 1, got {width}")
+                raise ValueError(f"dataset {name} width must be at least 1, got {width}")
         if (self.taxonomy < 0).any():
             raise ValueError("class ids must be non-negative")
         finite = np.isfinite(self.semantics).all(axis=1)
@@ -297,13 +297,15 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> DatasetBundle:
 # ---------------------------------------------------------------------------
 
 _KINDS = {int: "a 64-bit integer", str: "a string", dict: "an object", list: "a list",
-          list[int]: "a list of 64-bit integers"}
+          list[int]: "a list of 64-bit integers", list[str]: "a list of strings"}
 
 
 def _is_kind(value, kind) -> bool:
-    """Whether the JSON ``value`` is a ``kind``, as ``fits`` decides it."""
-    if kind == list[int]:
-        return isinstance(value, list) and all(fits(v, 0) for v in value)
+    """Whether the JSON ``value`` is a ``kind``, as ``fits`` decides it; a
+    ``list[item]`` is a list of ``item`` values."""
+    if kind in (list[int], list[str]):
+        item = kind.__args__[0]()
+        return isinstance(value, list) and all(fits(v, item) for v in value)
     return fits(value, kind())
 
 
@@ -428,19 +430,14 @@ def atomic_write_json(path: str, document) -> None:
     _atomic_write_chunks(path, json.JSONEncoder(default=_array_entry).iterencode(document))
 
 
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 
 def save_bundle(bundle: DatasetBundle, path: str) -> None:
+    ids = {f"{level}_id": column for level, column in zip(LEVELS, bundle.taxonomy.T.tolist())}
     atomic_write_json(path, {
         "format_version": BUNDLE_VERSION,
-        "dims": {"visual": bundle.visual_dim, "semantic": bundle.semantic_dim},
-        "classes": [
-            {"species_id": species, "genus_id": genus, "family_id": family,
-             "name": name, "semantic": semantic}
-            for (species, genus, family), name, semantic
-            in zip(bundle.taxonomy.tolist(), bundle.names, bundle.semantics)
-        ],
+        "classes": {**ids, "name": bundle.names, "semantic": bundle.semantics},
         "samples": {"species_id": bundle.sample_species.tolist(),
                     "visual": bundle.sample_visuals},
         "splits": {"seen": bundle.seen_ids, "unseen": bundle.unseen_ids},
@@ -453,27 +450,24 @@ def load_bundle(path: str) -> DatasetBundle:
     if version != BUNDLE_VERSION:
         raise ValueError(f"dataset file version mismatch: found {version}, "
                          f"expected {BUNDLE_VERSION}")
-    dims = _require_field(document, "dims", dict)
-    classes_raw = _require_field(document, "classes", list)
-    samples = _require_field(document, "samples", dict)
-    splits = _require_field(document, "splits", dict)
-    visual_dim, semantic_dim = (require_count(dims, name, 1, f"dataset dims/{name}")
-                                for name in ("visual", "semantic"))
-    taxonomy = np.empty((len(classes_raw), len(LEVELS)), dtype=np.int64)
-    names = []
-    semantics = np.empty((len(classes_raw), semantic_dim))
-    for i, c in enumerate(classes_raw):
-        try:
-            taxonomy[i] = [_require_field(c, f"{level}_id", int) for level in LEVELS]
-            names.append(_require_field(c, "name", str))
-            semantics[i] = decode_array(_require_field(c, "semantic"), "semantic",
-                                        shape=(semantic_dim,))
-        except ValueError as err:
-            raise ValueError(f"classes[{i}]: {err}") from None
+    classes, samples, splits = (_require_field(document, name, dict)
+                                for name in ("classes", "samples", "splits"))
+    columns = {f"{level}_id": _require_field(classes, f"{level}_id", list[int])
+               for level in LEVELS}
+    columns["name"] = _require_field(classes, "name", list[str])
+    columns["semantic"] = decode_array(_require_field(classes, "semantic"),
+                                       "classes/semantic", shape=(None, None))
+    n = len(columns["species_id"])
+    for name, column in columns.items():
+        if len(column) != n:
+            raise ValueError(f"classes/{name} has {len(column)} entries, but "
+                             f"classes/species_id has {n}")
     species = _require_field(samples, "species_id", list[int])
     visuals = decode_array(_require_field(samples, "visual"), "samples/visual",
-                           shape=(len(species), visual_dim))
-    return DatasetBundle(taxonomy=taxonomy, names=names, semantics=semantics,
-                         sample_species=species, sample_visuals=visuals,
+                           shape=(len(species), None))
+    taxonomy = np.array([columns[f"{level}_id"] for level in LEVELS], dtype=np.int64).T
+    return DatasetBundle(taxonomy=taxonomy, names=columns["name"],
+                         semantics=columns["semantic"], sample_species=species,
+                         sample_visuals=visuals,
                          seen_ids=_require_field(splits, "seen", list[int]),
                          unseen_ids=_require_field(splits, "unseen", list[int]))

@@ -313,7 +313,8 @@ BAD_VALUES = [
 # A field of a saved file set to a value of the wrong JSON type, with the
 # name the error line must give: (file, path to the field, value, name).
 # Both files hold 6-d visuals and the first sample is of species 0, so a
-# cast of 6.5 or 0.5 would pass unnoticed.
+# cast of 6.5 or 0.5 would pass unnoticed. A dataset's widths are the shapes
+# of its arrays, so its width rows damage a shape.
 BAD_FIELDS = [
     ("checkpoint", ("dims",), 5, "dims"),
     ("checkpoint", ("dims", "visual"), 6.5, "visual"),
@@ -327,13 +328,15 @@ BAD_FIELDS = [
      "enhanced/kingdom/0"),
     ("checkpoint", ("pools", "enhanced/species/07"), encode_array(np.zeros((0, 5))),
      "enhanced/species/07"),
-    ("bundle", ("dims",), 5, "dims"),
-    ("bundle", ("dims", "visual"), 6.5, "visual"),
-    ("bundle", ("classes", 0, "species_id"), 7.9, "species_id"),
-    ("bundle", ("classes", 0, "genus_id"), "3", "genus_id"),
-    ("bundle", ("classes", 0, "name"), 5, "name"),
+    ("bundle", ("classes", "semantic", "shape"), 5, "classes/semantic"),
+    ("bundle", ("samples", "visual", "shape", 1), 6.5, "samples/visual"),
+    ("bundle", ("classes", "species_id", 0), 7.9, "species_id"),
+    ("bundle", ("classes", "genus_id", 0), "3", "genus_id"),
+    ("bundle", ("classes", "name", 0), 5, "name"),
     ("bundle", ("samples", "species_id", 0), 0.5, "species_id"),
-    ("bundle", ("classes", 1, "genus_id"), 2**63, "genus_id"),
+    ("bundle", ("classes", "genus_id", 1), 2**63, "genus_id"),
+    ("bundle", ("classes", "family_id", 0), True, "family_id"),
+    ("bundle", ("classes", "name"), "species-000", "name"),
 ]
 
 
@@ -588,8 +591,12 @@ class TestBadInput:
         samples["visual"] = encode_array(visuals[keep])
         if empty == "split":
             document["splits"]["unseen"] = []
-            document["classes"] = [c for c in document["classes"]
-                                   if c["species_id"] not in unseen]
+            classes = document["classes"]
+            rows = [i for i, s in enumerate(classes["species_id"]) if s not in unseen]
+            for column in ("species_id", "genus_id", "family_id", "name"):
+                classes[column] = [classes[column][i] for i in rows]
+            classes["semantic"] = encode_array(decode_array(classes["semantic"],
+                                                            "semantic")[rows])
         data = tmp_path / "empty-unseen.json"
         data.write_text(json.dumps(document))
         inputs = ["--data", data, "--checkpoint", trained / "checkpoint.json"]

@@ -131,7 +131,7 @@ class TestDerive:
         ([[0, 0, 0], [1, 0, 0]], [[0.0], [np.nan]], "class 1: non-finite semantic vector"),
         ([[0, 0, 0], [0, 0, 0]], [[0.0], [0.0]], "duplicate species id in class records"),
         ([[0, 0, 0], [1, 0, 0]], np.zeros((2, 0)),
-         "dataset dims/semantic must be at least 1, got 0"),
+         "dataset semantic width must be at least 1, got 0"),
         ([[0, 0], [1, 0]], [[0.0], [0.0]], "class table: taxonomy (2, 2), 2 names"),
         ([[0, 0, 0], [1, 0, 0]], [[0.0]], "semantics (1, 1) do not match")])
     def test_class_table_checked(self, taxonomy, semantics, message):
@@ -290,18 +290,25 @@ class TestSynthetic:
 def one_shot_bundle_text(bundle):
     """The dataset file as the one-shot writer made it: ``json.dumps`` of the
     whole document, with every array already run through ``encode_array``."""
+    species, genus, family = bundle.taxonomy.T.tolist()
     return json.dumps({
         "format_version": BUNDLE_VERSION,
-        "dims": {"visual": bundle.visual_dim, "semantic": bundle.semantic_dim},
-        "classes": [
-            {"species_id": species, "genus_id": genus, "family_id": family,
-             "name": bundle.names[i], "semantic": encode_array(bundle.semantics[i])}
-            for i, (species, genus, family) in enumerate(bundle.taxonomy.tolist())
-        ],
+        "classes": {"species_id": species, "genus_id": genus, "family_id": family,
+                    "name": bundle.names, "semantic": encode_array(bundle.semantics)},
         "samples": {"species_id": bundle.sample_species.tolist(),
                     "visual": encode_array(bundle.sample_visuals)},
         "splits": {"seen": bundle.seen_ids, "unseen": bundle.unseen_ids},
     })
+
+
+def two_class_document():
+    """A valid hand-written dataset document: two seen species, one sample each."""
+    return {"format_version": BUNDLE_VERSION,
+            "classes": {"species_id": [0, 1], "genus_id": [0, 0], "family_id": [0, 0],
+                        "name": ["a", "b"], "semantic": encode_array(np.eye(2))},
+            "samples": {"species_id": [0, 1],
+                        "visual": encode_array(np.array([[1.0, 2.0], [3.0, 4.0]]))},
+            "splits": {"seen": [0, 1], "unseen": []}}
 
 
 class TestPersistence:
@@ -315,7 +322,7 @@ class TestPersistence:
         # A rewrite that sorted the class table by id would change the bytes.
         path = tmp_path / "bundle.json"
         save_bundle(gapped_bundle(), str(path))
-        assert [c["species_id"] for c in json.loads(path.read_text())["classes"]] == [7, 3, 5]
+        assert json.loads(path.read_text())["classes"]["species_id"] == [7, 3, 5]
         assert saved_bytes(load_bundle(str(path)), tmp_path) == path.read_bytes()
 
     def test_file_matches_one_shot_writer(self, tmp_path):
@@ -334,34 +341,57 @@ class TestPersistence:
         assert loaded.sample_visuals[0, 0] == np.pi
         assert loaded.semantics[0, 0] == awkward
 
+    def test_hand_written_document_loads(self, tmp_path):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(two_class_document()))
+        bundle = load_bundle(str(path))
+        assert bundle.taxonomy.tolist() == [[0, 0, 0], [1, 0, 0]]
+        assert bundle.names == ["a", "b"] and bundle.semantics.tolist() == np.eye(2).tolist()
+        assert (bundle.visual_dim, bundle.semantic_dim) == (2, 2)
+
     def test_missing_top_level_field(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text(json.dumps({"format_version": BUNDLE_VERSION,
-                                    "dims": {"visual": 2, "semantic": 2},
-                                    "samples": [], "splits": {"seen": [], "unseen": []}}))
+        document = two_class_document()
+        del document["classes"]
+        path.write_text(json.dumps(document))
         with pytest.raises(ValueError, match="missing field: classes"):
             load_bundle(str(path))
 
     def test_missing_nested_field_names_entry(self, tmp_path):
         path = tmp_path / "broken.json"
-        semantic = encode_array(np.zeros(2))
-        document = {"format_version": BUNDLE_VERSION,
-                    "dims": {"visual": 2, "semantic": 2},
-                    "classes": [{"species_id": 0, "genus_id": 0, "family_id": 0,
-                                 "name": "a", "semantic": semantic},
-                                {"genus_id": 0, "family_id": 0,
-                                 "name": "b", "semantic": semantic}],
-                    "samples": {"species_id": [0],
-                                "visual": encode_array(np.array([[1.0, 2.0]]))},
-                    "splits": {"seen": [0], "unseen": []}}
+        for column in ("species_id", "genus_id", "family_id", "name", "semantic"):
+            document = two_class_document()
+            del document["classes"][column]
+            path.write_text(json.dumps(document))
+            with pytest.raises(ValueError, match=f"^missing field: {column}$"):
+                load_bundle(str(path))
+
+    @pytest.mark.parametrize("column,value,entries", [
+        ("genus_id", [0], 1), ("family_id", [0, 0, 0], 3), ("name", ["a"], 1),
+        ("semantic", encode_array(np.eye(3)), 3)])
+    def test_ragged_columns_are_named(self, tmp_path, column, value, entries):
+        path = tmp_path / "ragged.json"
+        document = two_class_document()
+        document["classes"][column] = value
         path.write_text(json.dumps(document))
-        with pytest.raises(ValueError, match=r"classes\[1\].*missing field: species_id"):
+        message = f"classes/{column} has {entries} entries, but classes/species_id has 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_bundle(str(path))
+
+    @pytest.mark.parametrize("shape", [[4], [2, 1, 2]])
+    def test_semantic_must_be_a_matrix(self, tmp_path, shape):
+        path = tmp_path / "broken.json"
+        document = two_class_document()
+        document["classes"]["semantic"] = encode_array(np.zeros(shape))
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=r"^classes/semantic: shape .* does not match "
+                                             r"expected \(None, None\)$"):
             load_bundle(str(path))
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         for text, message in (("{not json", "malformed"), ("5", "JSON object"),
-                              ('{"dims": {}}', "missing field: format_version"),
+                              ('{"classes": {}}', "missing field: format_version"),
                               ('{"format_version": 0}', "version mismatch: found 0,"),
                               ('{"format_version": -9223372036854775809}',
                                "'format_version' must be a 64-bit integer")):
@@ -373,17 +403,31 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^malformed dataset file {re.escape(str(path))}: "):
             load_bundle(str(path))
 
+    def test_version_2_layout_rejected(self, tmp_path):
+        """A file in the previous layout (one record per species, and a
+        ``dims`` object) stops on the version line, before any field."""
+        document = two_class_document()
+        document.update(format_version=2, dims={"visual": 2, "semantic": 2}, classes=[
+            {"species_id": i, "genus_id": 0, "family_id": 0, "name": name,
+             "semantic": encode_array(np.eye(2)[i])} for i, name in enumerate("ab")])
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=f"^dataset file version mismatch: found 2, "
+                                             f"expected {BUNDLE_VERSION}$"):
+            load_bundle(str(path))
+
     @pytest.mark.parametrize("dims", [(0, 2), (2, 0)])
     def test_widths_below_one_rejected(self, tmp_path, dims):
+        """The widths are the arrays' own: a ``samples/visual`` or
+        ``classes/semantic`` matrix with no columns is rejected."""
         visual, semantic = dims
         name = "visual" if visual < 1 else "semantic"
+        document = two_class_document()
+        document["classes"]["semantic"] = encode_array(np.zeros((2, semantic)))
+        document["samples"]["visual"] = encode_array(np.zeros((2, visual)))
         path = tmp_path / "zero.json"
-        path.write_text(json.dumps({
-            "format_version": BUNDLE_VERSION,
-            "dims": {"visual": visual, "semantic": semantic}, "classes": [],
-            "samples": {"species_id": [], "visual": encode_array(np.zeros((0, visual)))},
-            "splits": {"seen": [], "unseen": []}}))
-        with pytest.raises(ValueError, match=f"^dataset dims/{name} must be at least 1, got 0$"):
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match=f"^dataset {name} width must be at least 1, got 0$"):
             load_bundle(str(path))
 
     @pytest.mark.parametrize("a", [
