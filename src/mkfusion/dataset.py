@@ -309,25 +309,26 @@ def _is_kind(value, kind) -> bool:
     return fits(value, kind())
 
 
-def _require_field(mapping, name: str, kind=None):
-    """``mapping[name]``, checked to be a ``kind`` (a key of ``_KINDS``) when given."""
+def require_field(mapping, path: str, kind=None):
+    """The field at ``path``, slash-separated from the file's root: ``mapping``'s
+    entry under the last segment, checked to be a ``kind`` (a key of ``_KINDS``) when given."""
     if not isinstance(mapping, dict):
-        raise ValueError(f"expected an object holding field {name!r}, "
+        raise ValueError(f"expected an object holding field {path!r}, "
                          f"got {mapping!r:.40}")
+    name = path.rpartition("/")[2]
     if name not in mapping:
-        raise ValueError(f"missing field: {name}")
+        raise ValueError(f"missing field: {path}")
     value = mapping[name]
     if kind is not None and not _is_kind(value, kind):
-        raise ValueError(f"field {name!r} must be {_KINDS[kind]}, got {value!r:.40}")
+        raise ValueError(f"field {path!r} must be {_KINDS[kind]}, got {value!r:.40}")
     return value
 
 
-def require_count(mapping, name: str, least: int, where: str) -> int:
-    """The integer field ``mapping[name]``, which must be at least ``least``;
-    ``where`` names the field in errors."""
-    value = _require_field(mapping, name, int)
+def require_count(mapping, path: str, least: int) -> int:
+    """The integer field at ``path``, which must be at least ``least``."""
+    value = require_field(mapping, path, int)
     if value < least:
-        raise ValueError(f"{where} must be at least {least}, got {value}")
+        raise ValueError(f"{path} must be at least {least}, got {value}")
     return value
 
 
@@ -338,34 +339,31 @@ def encode_array(a: Array) -> dict:
     return {"shape": list(a.shape), "f64": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def decode_array(entry, what: str, shape: tuple | None = None) -> Array:
-    """The float64 array stored by ``encode_array``, as a new writable array;
-    ``what`` names the entry in errors. ``shape``, when given, is the expected
-    shape, with ``None`` for an axis of any length."""
-    try:
-        dims = _require_field(entry, "shape", list)
-        text = _require_field(entry, "f64", str)
-    except ValueError as err:
-        raise ValueError(f"{what}: {err}") from None
+def decode_array(entry, path: str, shape: tuple | None = None) -> Array:
+    """The float64 array stored by ``encode_array`` at ``path``, as a new
+    writable array. ``shape``, when given, is the expected shape, with
+    ``None`` for an axis of any length."""
+    dims = require_field(entry, f"{path}/shape", list)
+    text = require_field(entry, f"{path}/f64", str)
     if not all(_is_kind(n, int) and n >= 0 for n in dims):
-        raise ValueError(f"{what}: shape must be a list of non-negative integers, "
+        raise ValueError(f"{path}: shape must be a list of non-negative integers, "
                          f"got {dims!r:.40}")
     if shape is not None and (len(dims) != len(shape) or any(
             want is not None and n != want for n, want in zip(dims, shape))):
-        raise ValueError(f"{what}: shape {tuple(dims)} does not match expected {shape}")
+        raise ValueError(f"{path}: shape {tuple(dims)} does not match expected {shape}")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as err:
-        raise ValueError(f"{what}: f64 is not base64: {err}") from None
+        raise ValueError(f"{path}: f64 is not base64: {err}") from None
     size = 8 * math.prod(dims)
     if len(raw) != size:
-        raise ValueError(f"{what}: {len(raw)} bytes do not fill shape {tuple(dims)} "
+        raise ValueError(f"{path}: {len(raw)} bytes do not fill shape {tuple(dims)} "
                          f"of float64 ({size} bytes)")
     # frombuffer gives a read-only view of ``raw``; astype copies it into an
     # array of its own, which in-place updates (Adam on a resumed run) need.
     array = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
     if not np.isfinite(array).all():
-        raise ValueError(f"{what}: non-finite value")
+        raise ValueError(f"{path}: non-finite value")
     return array
 
 
@@ -446,28 +444,28 @@ def save_bundle(bundle: DatasetBundle, path: str) -> None:
 
 def load_bundle(path: str) -> DatasetBundle:
     document = read_json_object(path, "dataset file")
-    version = _require_field(document, "format_version", int)
+    version = require_field(document, "format_version", int)
     if version != BUNDLE_VERSION:
         raise ValueError(f"dataset file version mismatch: found {version}, "
                          f"expected {BUNDLE_VERSION}")
-    classes, samples, splits = (_require_field(document, name, dict)
+    classes, samples, splits = (require_field(document, name, dict)
                                 for name in ("classes", "samples", "splits"))
-    columns = {f"{level}_id": _require_field(classes, f"{level}_id", list[int])
+    columns = {f"{level}_id": require_field(classes, f"classes/{level}_id", list[int])
                for level in LEVELS}
-    columns["name"] = _require_field(classes, "name", list[str])
-    columns["semantic"] = decode_array(_require_field(classes, "semantic"),
+    columns["name"] = require_field(classes, "classes/name", list[str])
+    columns["semantic"] = decode_array(require_field(classes, "classes/semantic"),
                                        "classes/semantic", shape=(None, None))
     n = len(columns["species_id"])
     for name, column in columns.items():
         if len(column) != n:
             raise ValueError(f"classes/{name} has {len(column)} entries, but "
                              f"classes/species_id has {n}")
-    species = _require_field(samples, "species_id", list[int])
-    visuals = decode_array(_require_field(samples, "visual"), "samples/visual",
+    species = require_field(samples, "samples/species_id", list[int])
+    visuals = decode_array(require_field(samples, "samples/visual"), "samples/visual",
                            shape=(len(species), None))
     taxonomy = np.array([columns[f"{level}_id"] for level in LEVELS], dtype=np.int64).T
     return DatasetBundle(taxonomy=taxonomy, names=columns["name"],
                          semantics=columns["semantic"], sample_species=species,
                          sample_visuals=visuals,
-                         seen_ids=_require_field(splits, "seen", list[int]),
-                         unseen_ids=_require_field(splits, "unseen", list[int]))
+                         seen_ids=require_field(splits, "splits/seen", list[int]),
+                         unseen_ids=require_field(splits, "splits/unseen", list[int]))

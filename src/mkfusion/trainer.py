@@ -13,9 +13,9 @@ import numpy as np
 from . import autodiff as ad
 from . import genetics as gn
 from . import model as mdl
-from .dataset import (LEVELS, DatasetBundle, _require_field, atomic_write_json,
-                      check_fields, compute_visual_centers, csv_text, decode_array,
-                      derive_knowledge_datasets, read_json_object, require_count)
+from .dataset import (LEVELS, DatasetBundle, atomic_write_json, check_fields,
+                      compute_visual_centers, csv_text, decode_array, derive_knowledge_datasets,
+                      read_json_object, require_count, require_field)
 
 Array = np.ndarray
 
@@ -326,11 +326,11 @@ _ENHANCED_KEY = re.compile(f"enhanced/({'|'.join(LEVELS)})/(0|[1-9][0-9]*)")
 
 def restore_checkpoint(path: str) -> CheckpointData:
     document = read_json_object(path, "checkpoint")
-    version = _require_field(document, "format_version", int)
+    version = require_field(document, "format_version", int)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"checkpoint version mismatch: found {version}, "
                          f"expected {CHECKPOINT_VERSION}")
-    config_doc = _require_field(document, "config", dict)
+    config_doc = require_field(document, "config", dict)
     names = [f.name for f in fields(TrainConfig)]
     unknown = sorted(set(config_doc) - set(names))
     missing = [name for name in names if name not in config_doc]
@@ -342,38 +342,39 @@ def restore_checkpoint(path: str) -> CheckpointData:
         config = TrainConfig(**config_doc)
     except ValueError as err:
         raise ValueError(f"checkpoint {path} config: {err}") from None
-    dims = _require_field(document, "dims", dict)
-    visual, semantic, n_classes = (require_count(dims, name, 1, f"checkpoint dims/{name}")
+    dims = require_field(document, "dims", dict)
+    visual, semantic, n_classes = (require_count(dims, f"dims/{name}", 1)
                                    for name in ("visual", "semantic", "n_classes"))
-    seen_species = _require_field(document, "seen_species", list[int])
+    seen_species = require_field(document, "seen_species", list[int])
     if n_classes != len(seen_species):
         raise ValueError(f"checkpoint dims/n_classes is {n_classes}, but "
                          f"seen_species lists {len(seen_species)} species")
     model = mdl.FusionGan(config, visual, semantic, n_classes)
-    stored = _require_field(document, "params", dict)
-    if set(stored) != set(model.params):
-        raise ValueError("checkpoint parameter names do not match the model")
+    stored = require_field(document, "params", dict)
+    # Parameter names hold slashes, so they are not read by ``require_field``.
+    for name in [*model.params, *stored]:
+        if (name in stored) != (name in model.params):
+            raise ValueError(f"{'unknown' if name in stored else 'missing'} field: params/{name}")
     for name, p in model.params.items():
         p.data = decode_array(stored[name], f"params/{name}", p.shape)
-    adam_doc = _require_field(document, "adam", dict)
+    adam_doc = require_field(document, "adam", dict)
     optimizers = build_optimizers(model, config.learning_rate)
     for group, opt in optimizers.items():
-        state = _require_field(adam_doc, group, dict)
-        opt.step_count = require_count(state, "step_count", 0,
-                                       f"checkpoint adam/{group}/step_count")
+        state = require_field(adam_doc, f"adam/{group}", dict)
+        opt.step_count = require_count(state, f"adam/{group}/step_count", 0)
         for key in ("m", "v"):
-            entries = _require_field(state, key, list)
+            entries = require_field(state, f"adam/{group}/{key}", list)
             moments = getattr(opt, key)
             if len(entries) != len(moments):
                 raise ValueError(f"adam/{group}/{key}: {len(entries)} arrays for "
                                  f"{len(moments)} parameters")
             # Into the optimizer's own zeroed arrays, so no second set is held.
             for i, (entry, moment) in enumerate(zip(entries, moments)):
-                moment[...] = decode_array(entry, f"adam/{group}/{key}[{i}]", moment.shape)
-    pools_doc = _require_field(document, "pools", dict)
+                moment[...] = decode_array(entry, f"adam/{group}/{key}/{i}", moment.shape)
+    pools_doc = require_field(document, "pools", dict)
     rows = (None, model.semantic_dim)
     pools = gn.Pools()
-    pools.novel.vectors = list(decode_array(_require_field(pools_doc, "novel"),
+    pools.novel.vectors = list(decode_array(require_field(pools_doc, "pools/novel"),
                                             "pools/novel", rows))
     for key, entry in pools_doc.items():
         match = _ENHANCED_KEY.fullmatch(key)
@@ -381,14 +382,13 @@ def restore_checkpoint(path: str) -> CheckpointData:
             pools.enhanced.entries[(match[1], int(match[2]))] = list(
                 decode_array(entry, f"pools/{key}", rows))
         elif key != "novel":
-            raise ValueError(f"unknown pool key in checkpoint: {key!r}")
-    rng_state = _require_field(document, "rng_state", dict)
+            raise ValueError(f"unknown field: pools/{key}")
+    rng_state = require_field(document, "rng_state", dict)
     rng = np.random.default_rng()
     try:
         rng.bit_generator.state = rng_state
     except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise ValueError(f"checkpoint rng_state: {err!r}") from None
     return CheckpointData(config=config, model=model, pools=pools,
-                          loop_index=require_count(document, "loop_index", 0,
-                                                   "checkpoint loop_index"),
+                          loop_index=require_count(document, "loop_index", 0),
                           rng=rng, optimizers=optimizers, seen_species=seen_species)

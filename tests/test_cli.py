@@ -232,6 +232,7 @@ def assert_one_error_line(capsys, *names):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     for name in names:
         assert name in lines[0]
+    return lines[0]
 
 
 @pytest.fixture()
@@ -245,7 +246,8 @@ def command_inputs(small_data, trained):
 
 
 def assert_rejected(tmp_path, capsys, command, inputs, name, config=None, flags=()):
-    """The command exits 1 with one ``error:`` line naming ``name`` and writes nothing."""
+    """The command exits 1 with one ``error:`` line naming ``name`` and writes
+    nothing; the line."""
     if config is not None:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))
@@ -253,8 +255,9 @@ def assert_rejected(tmp_path, capsys, command, inputs, name, config=None, flags=
     capsys.readouterr()
     out = tmp_path / "out"
     assert run(command, *inputs, *flags, "--out", out) == 1
-    assert_one_error_line(capsys, name)
+    line = assert_one_error_line(capsys, name)
     assert not out.exists()
+    return line
 
 
 # Wrong values in a config file, flag or MKFUSION_SEED, each with the name
@@ -317,7 +320,7 @@ BAD_VALUES = [
 # of its arrays, so its width rows damage a shape.
 BAD_FIELDS = [
     ("checkpoint", ("dims",), 5, "dims"),
-    ("checkpoint", ("dims", "visual"), 6.5, "visual"),
+    ("checkpoint", ("dims", "visual"), 6.5, "dims/visual"),
     ("checkpoint", ("seen_species",), 5, "seen_species"),
     ("checkpoint", ("loop_index",), [1], "loop_index"),
     ("checkpoint", ("rng_state", "bit_generator"), "MT19937", "rng_state"),
@@ -325,18 +328,18 @@ BAD_FIELDS = [
     ("checkpoint", ("rng_state", "uinteger"), 2**64, "rng_state"),
     ("checkpoint", ("rng_state", "has_uint32"), 2**63, "rng_state"),
     ("checkpoint", ("pools", "enhanced/kingdom/0"), encode_array(np.zeros((0, 5))),
-     "enhanced/kingdom/0"),
+     "pools/enhanced/kingdom/0"),
     ("checkpoint", ("pools", "enhanced/species/07"), encode_array(np.zeros((0, 5))),
-     "enhanced/species/07"),
-    ("bundle", ("classes", "semantic", "shape"), 5, "classes/semantic"),
+     "pools/enhanced/species/07"),
+    ("bundle", ("classes", "semantic", "shape"), 5, "classes/semantic/shape"),
     ("bundle", ("samples", "visual", "shape", 1), 6.5, "samples/visual"),
-    ("bundle", ("classes", "species_id", 0), 7.9, "species_id"),
-    ("bundle", ("classes", "genus_id", 0), "3", "genus_id"),
-    ("bundle", ("classes", "name", 0), 5, "name"),
-    ("bundle", ("samples", "species_id", 0), 0.5, "species_id"),
-    ("bundle", ("classes", "genus_id", 1), 2**63, "genus_id"),
-    ("bundle", ("classes", "family_id", 0), True, "family_id"),
-    ("bundle", ("classes", "name"), "species-000", "name"),
+    ("bundle", ("classes", "species_id", 0), 7.9, "classes/species_id"),
+    ("bundle", ("classes", "genus_id", 0), "3", "classes/genus_id"),
+    ("bundle", ("classes", "name", 0), 5, "classes/name"),
+    ("bundle", ("samples", "species_id", 0), 0.5, "samples/species_id"),
+    ("bundle", ("classes", "genus_id", 1), 2**63, "classes/genus_id"),
+    ("bundle", ("classes", "family_id", 0), True, "classes/family_id"),
+    ("bundle", ("classes", "name"), "species-000", "classes/name"),
 ]
 
 
@@ -356,7 +359,8 @@ OUT_OF_RANGE_FIELDS = [
 def assert_field_rejected(tmp_path, capsys, small_data, trained, kind, where, value,
                           name):
     """The ``kind`` file with the field at ``where`` set to ``value`` makes
-    ``eval`` (a checkpoint) or ``train`` (a bundle) fail on one line naming ``name``."""
+    ``eval`` (a checkpoint) or ``train`` (a bundle) fail on one line naming
+    ``name``; the line."""
     source = trained / "checkpoint.json" if kind == "checkpoint" else small_data
     document = json.loads(source.read_text())
     functools.reduce(operator.getitem, where[:-1], document)[where[-1]] = value
@@ -366,7 +370,7 @@ def assert_field_rejected(tmp_path, capsys, small_data, trained, kind, where, va
         command, inputs = "eval", ["--data", small_data, "--checkpoint", bad]
     else:
         command, inputs = "train", ["--data", bad]
-    assert_rejected(tmp_path, capsys, command, inputs, name)
+    return assert_rejected(tmp_path, capsys, command, inputs, name)
 
 
 class TestImports:
@@ -484,6 +488,38 @@ class TestBadInput:
                                       kind, where, value, name):
         assert_field_rejected(tmp_path, capsys, small_data, trained, kind, where, value,
                               name)
+
+    @pytest.mark.parametrize("first,second,value", [
+        (("classes", "species_id"), ("samples", "species_id"), [0.5]),
+        (("classes",), ("samples",), []),
+        (("classes", "semantic"), ("samples", "visual"), []),
+    ], ids=["species-id", "section-as-list", "array-as-list"])
+    def test_same_bad_value_named_by_path(self, tmp_path, small_data, trained, capsys,
+                                          first, second, value):
+        """The same bad value in two fields of one key gives two lines, each
+        naming its own field by its path from the file's root."""
+        lines = [assert_field_rejected(tmp_path, capsys, small_data, trained, "bundle",
+                                       where, value, "/".join(where))
+                 for where in (first, second)]
+        assert lines[0] != lines[1]
+
+    @pytest.mark.parametrize("change,name", [
+        ("missing", "missing field: params/generator/species/w1"),
+        ("extra", "unknown field: params/generator/species/w3")])
+    def test_parameter_set_names_the_entry(self, tmp_path, small_data, trained, capsys,
+                                           change, name):
+        """A checkpoint whose ``params`` lack one of the model's entries, or
+        hold one more, stops on one line naming that entry by its path."""
+        document = json.loads((trained / "checkpoint.json").read_text())
+        params = document["params"]
+        if change == "missing":
+            del params["generator/species/w1"]
+        else:
+            params["generator/species/w3"] = params["generator/species/w2"]
+        bad = tmp_path / "bad-checkpoint.json"
+        bad.write_text(json.dumps(document))
+        assert_rejected(tmp_path, capsys, "eval", ["--data", small_data, "--checkpoint", bad],
+                        name)
 
     @pytest.mark.parametrize("where,value,name", OUT_OF_RANGE_FIELDS,
                              ids=[".".join(case[0]) for case in OUT_OF_RANGE_FIELDS])

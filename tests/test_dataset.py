@@ -359,9 +359,12 @@ class TestPersistence:
 
     def test_missing_nested_field_names_entry(self, tmp_path):
         path = tmp_path / "broken.json"
-        for column in ("species_id", "genus_id", "family_id", "name", "semantic"):
+        for column in ("classes/species_id", "classes/genus_id", "classes/family_id",
+                       "classes/name", "classes/semantic", "samples/species_id",
+                       "samples/visual", "splits/seen", "splits/unseen"):
             document = two_class_document()
-            del document["classes"][column]
+            parent, key = column.split("/")
+            del document[parent][key]
             path.write_text(json.dumps(document))
             with pytest.raises(ValueError, match=f"^missing field: {column}$"):
                 load_bundle(str(path))
@@ -447,16 +450,23 @@ class TestPersistence:
         assert decoded.tobytes() == np.ascontiguousarray(a, dtype=np.float64).tobytes()
         assert decoded.flags.writeable and decoded.flags.owndata
 
+    # An error in the entry's ``shape`` or ``f64`` field names the field's
+    # path and is given as an anchored pattern, under the case's short id;
+    # the array's own errors start with the array's path.
     @pytest.mark.parametrize("entry,message", [
-        ([1.0], "expected an object"),
-        ({"f64": F64_ONE}, "missing field: shape"),
-        ({"shape": [1]}, "missing field: f64"),
+        pytest.param([1.0], "^expected an object holding field 'probe/shape'",
+                     id="entry0-expected an object"),
+        pytest.param({"f64": F64_ONE}, "^missing field: probe/shape$",
+                     id="entry1-missing field: shape"),
+        pytest.param({"shape": [1]}, "^missing field: probe/f64$",
+                     id="entry2-missing field: f64"),
         ({"shape": [1.0], "f64": F64_ONE}, "non-negative integers"),
         ({"shape": [True], "f64": F64_ONE}, "non-negative integers"),
         ({"shape": [-1], "f64": ""}, "non-negative integers"),
         ({"shape": [1, 1], "f64": F64_ONE}, "does not match expected"),
         ({"shape": [2], "f64": F64_ONE}, "do not fill"),
-        ({"shape": [1], "f64": [1.0]}, "must be a string"),
+        pytest.param({"shape": [1], "f64": [1.0]}, "^field 'probe/f64' must be a string",
+                     id="entry8-must be a string"),
         ({"shape": [1], "f64": "not base64!"}, "not base64"),
         ({"shape": [1], "f64": F64_ONE[:4] + "\n" + F64_ONE[4:]}, "not base64"),
         ({"shape": [1], "f64": base64.b64encode(bytes(7)).decode()}, "do not fill"),
@@ -467,7 +477,8 @@ class TestPersistence:
         ({"shape": [1], "f64": "é" + F64_ONE[1:]}, "not base64"),
     ])
     def test_decode_array_rejects(self, entry, message):
-        with pytest.raises(ValueError, match=f"^probe: .*{message}"):
+        pattern = message if message.startswith("^") else f"^probe: .*{message}"
+        with pytest.raises(ValueError, match=pattern):
             decode_array(entry, "probe", shape=(None,))
 
 

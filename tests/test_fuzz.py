@@ -5,6 +5,8 @@ Every case changes one node of one file: it replaces the node with an odd
 JSON value, deletes it, duplicates a list entry or renames an object key, or
 negates a number or halves a string. The command that reads the file must
 then exit 0, or exit 1 with exactly one ``error:`` line and no traceback.
+When a deleted or renamed key of a dataset or checkpoint stops the command
+on a missing field, the line names that key by its path from the file's root.
 The case number seeds the draw, so a failing case reruns alone. The quick
 pass runs ``QUICK_CASES`` cases; the ``slow`` campaign runs ``CAMPAIGN_CASES``
 more.
@@ -70,7 +72,8 @@ def nodes(document, path=()):
 
 
 def mutate(document, rng: np.random.Generator):
-    """A copy of ``document`` with one node changed, and what was done."""
+    """A copy of ``document`` with one node changed, the changed node's path
+    and the mutation (one of ``MUTATIONS``)."""
     document = copy.deepcopy(document)
     every = list(nodes(document))
     where, value = every[rng.integers(len(every))]
@@ -90,14 +93,16 @@ def mutate(document, rng: np.random.Generator):
         parent[key] = -value
     else:
         parent[key] = None
-    return document, f"{how} {'/'.join(map(str, where))}"
+    return document, where, how
 
 
 def run_case(case: int, documents, tmp_path, capsys) -> str | None:
     """Run case ``case``; the reason it fails, or None if it passes."""
     rng = np.random.default_rng([SEED, case])
     kind, command = TARGETS[case % len(TARGETS)]
-    mutated, change = mutate(documents[kind], rng)
+    mutated, where, how = mutate(documents[kind], rng)
+    path = "/".join(map(str, where))
+    change = f"{how} {path}"
     work = tmp_path / f"case{case}"
     work.mkdir()
     files = {}
@@ -117,6 +122,11 @@ def run_case(case: int, documents, tmp_path, capsys) -> str | None:
         return f"case {case} ({command}, {kind}: {change}) raised {err!r}"
     err = capsys.readouterr().err
     lines = err.strip().split("\n")
+    key_gone = (kind in ("dataset", "checkpoint") and how in ("delete", "duplicate")
+                and isinstance(where[-1], str))
+    missing = "error: missing field: "
+    if key_gone and lines[0].startswith(missing) and lines[0] != missing + path:
+        return f"case {case} ({command}, {kind}: {change}) named another field: {err!r}"
     if code == 0 or (code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
                      and "Traceback" not in err):
         return None

@@ -94,14 +94,15 @@ def corrupted(entry, how):
 
 def assert_each_corruption_named(document, path, load, entries):
     """Every damage to every ``(where, name)`` entry makes ``load`` raise a
-    ValueError that gives ``name``."""
+    ValueError that gives the path ``name``, ended by ``:`` or ``/``, so that
+    ``adam/fusion/m/1`` does not pass as ``adam/fusion/m/10``."""
     for where, name in entries:
         parent = functools.reduce(operator.getitem, where[:-1], document)
         original = parent[where[-1]]
         for how in ("drop f64", "truncate by 8 bytes", "NaN bytes", "entry as list"):
             parent[where[-1]] = corrupted(original, how)
             path.write_text(json.dumps(document))
-            with pytest.raises(ValueError, match=re.escape(name)):
+            with pytest.raises(ValueError, match=re.escape(name) + "[:/]"):
                 load(str(path))
         parent[where[-1]] = original
 
@@ -568,7 +569,7 @@ class TestCheckpoint:
         path, document = saved_checkpoint(tmp_path)
         entries = [(("params", name), f"params/{name}") for name in document["params"]]
         for group, state in document["adam"].items():
-            entries += [(("adam", group, key, i), f"adam/{group}/{key}[{i}]")
+            entries += [(("adam", group, key, i), f"adam/{group}/{key}/{i}")
                         for key in ("m", "v") for i in range(len(state[key]))]
         entries += [(("pools", key), f"pools/{key}") for key in document["pools"]]
         assert_each_corruption_named(document, path, tr.restore_checkpoint, entries)
