@@ -14,8 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from . import evaluation as ev
-from . import trainer as tr
+from .config import DEFAULT_N_SYN, DEFAULT_TOP_K, TrainConfig
 from .dataset import (SyntheticSpec, atomic_write_text, csv_text, fits,
                       generate_synthetic, load_bundle, read_json_object, save_bundle)
 
@@ -32,9 +31,9 @@ SPEC_SETTINGS = {"genera_per_family": "genera", "species_per_genus": "species",
 SETTINGS = {
     "gen-data": {**{SPEC_SETTINGS.get(f.name, f.name): f.default
                     for f in dataclasses.fields(SyntheticSpec)}, "seed": 1},
-    "train": {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)},
-    "eval": {"n_syn": ev.DEFAULT_N_SYN, "mode": "gzsl"},
-    "retrieve": {"k": ev.DEFAULT_TOP_K, "n_syn": ev.DEFAULT_N_SYN},
+    "train": {f.name: f.default for f in dataclasses.fields(TrainConfig)},
+    "eval": {"n_syn": DEFAULT_N_SYN, "mode": "gzsl"},
+    "retrieve": {"k": DEFAULT_TOP_K, "n_syn": DEFAULT_N_SYN},
 }
 # Per command: the settings that also have a flag, ``--`` + name with ``-`` for ``_``.
 FLAGGED = {
@@ -126,6 +125,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def _cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
+    from . import trainer as tr  # imported here, so gen-data starts without it
     resume_state = None
     if args.resume is not None:
         ignored = [_flag(name) for name in FLAGGED["train"]
@@ -139,7 +139,7 @@ def _cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
         if args.steps is not None:
             config = dataclasses.replace(config, steps=args.steps)
     else:
-        config = _build(tr.TrainConfig, _settings(args), ALIASES)
+        config = _build(TrainConfig, _settings(args), ALIASES)
     bundle = load_bundle(args.data)
     result = tr.train(config, bundle, resume=resume_state)
     os.makedirs(args.out, exist_ok=True)
@@ -154,6 +154,7 @@ def _cmd_train(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> tuple[str, dict]:
+    from . import evaluation as ev, trainer as tr  # imported here, as in _cmd_train
     settings = _settings(args)
     n_syn, mode = settings["n_syn"], settings["mode"]
     if mode not in ("zsl", "gzsl"):
@@ -182,6 +183,7 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[str, dict]:
 
 
 def _cmd_retrieve(args: argparse.Namespace) -> tuple[str, dict]:
+    from . import evaluation as ev, trainer as tr  # imported here, as in _cmd_train
     settings = _settings(args)
     k, n_syn = settings["k"], settings["n_syn"]
     state = tr.restore_checkpoint(args.checkpoint)

@@ -9,14 +9,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .config import DEFAULT_N_SYN, DEFAULT_TOP_K
 from .dataset import DatasetBundle, csv_text
 from .genetics import cosine_rows
 from .model import FusionGan
 
 Array = np.ndarray
 
-DEFAULT_N_SYN = 60
-DEFAULT_TOP_K = 5
 DEFAULT_GAMMA_SPAN = 2.0
 DEFAULT_GAMMA_POINTS = 201
 CURVE_BLOCK_ROWS = 256

@@ -3,22 +3,14 @@ and the adaptive fusion module with its normalized importance weights."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import TrainConfig
 from .dataset import LEVELS
 
-if TYPE_CHECKING:
-    from .trainer import TrainConfig
-
 Array = np.ndarray
-
-# How ``FusionGan.generate_fused`` combines the three level features: the
-# trained fusion network, or the plain one-third average (the ablation).
-FUSION_MODES = ("adaptive", "summing")
 
 
 def _layers(rng: np.random.Generator, *layers: tuple[str, int, int]) -> dict[str, Tensor]:

@@ -6,16 +6,17 @@ from __future__ import annotations
 import functools
 import re
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import genetics as gn
 from . import model as mdl
-from .dataset import (LEVELS, DatasetBundle, atomic_write_json, check_fields,
-                      compute_visual_centers, csv_text, decode_array, derive_knowledge_datasets,
-                      read_json_object, require_count, require_field)
+from .config import TrainConfig
+from .dataset import (LEVELS, DatasetBundle, atomic_write_json, compute_visual_centers,
+                      csv_text, decode_array, derive_knowledge_datasets, read_json_object,
+                      require_count, require_field)
 
 Array = np.ndarray
 
@@ -28,35 +29,6 @@ ADAM_GROUPS = {"discriminator": "discriminator/", "generators": "generator/",
 OBJECTIVES = {"discriminator": ("l_d",),
               "generators": ("l_g_species", "l_g_genus", "l_g_family"),
               "fusion": ("l_fused", "l_er", "l_nr")}
-
-
-@dataclass
-class TrainConfig:
-    steps: int = field(default=300, metadata={"ge": 0})
-    n_nfg: int = field(default=3, metadata={"ge": 0})
-    kappa1: float = 0.8
-    kappa2: float = 0.2
-    lam: float = field(default=1.0, metadata={"ge": 0})
-    batch_size: int = field(default=64, metadata={"ge": 1})
-    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
-    noise_dim: int = field(default=32, metadata={"ge": 1})
-    clip_c: float = field(default=0.01, metadata={"gt": 0})
-    seed: int = field(default=1, metadata={"ge": 0})
-    offspring_budget: int = field(default=64, metadata={"ge": 0})
-    fusion_mode: str = "adaptive"
-    gen_hidden: int = field(default=256, metadata={"ge": 1})
-    disc_hidden: tuple[int, int] = field(default=(256, 128), metadata={"ge": 1})
-    fusion_hidden: int = field(default=64, metadata={"ge": 1})
-    alpha: float = field(default=0.2, metadata={"ge": 0, "le": 1})
-
-    def __post_init__(self):
-        check_fields(self)
-        if not self.kappa1 > self.kappa2:
-            raise ValueError("kappa1 must exceed kappa2")
-        if self.fusion_mode not in mdl.FUSION_MODES:
-            raise ValueError(f"unknown fusion mode: {self.fusion_mode!r}")
-        if self.offspring_budget % 2:
-            raise ValueError(f"offspring_budget must be even, got {self.offspring_budget}")
 
 
 @dataclass
@@ -137,7 +109,7 @@ def check_bundle(state: CheckpointData, bundle: DatasetBundle) -> None:
     groups = species_groups(bundle)
     for level, class_id in state.pools.enhanced.entries:
         if (level, class_id) not in groups:
-            raise ValueError(f"checkpoint pool enhanced/{level}/{class_id}: "
+            raise ValueError(f"pools/enhanced/{level}/{class_id}: "
                              f"the bundle has no seen {level} {class_id}")
 
 
@@ -347,7 +319,7 @@ def restore_checkpoint(path: str) -> CheckpointData:
                                    for name in ("visual", "semantic", "n_classes"))
     seen_species = require_field(document, "seen_species", list[int])
     if n_classes != len(seen_species):
-        raise ValueError(f"checkpoint dims/n_classes is {n_classes}, but "
+        raise ValueError(f"dims/n_classes is {n_classes}, but "
                          f"seen_species lists {len(seen_species)} species")
     model = mdl.FusionGan(config, visual, semantic, n_classes)
     stored = require_field(document, "params", dict)

@@ -29,15 +29,18 @@ def fd_gradient(loss_fn: Callable[[], ad.Tensor], leaf: ad.Tensor,
 def assert_grads_match(loss_fn: Callable[[], ad.Tensor], leaves: Sequence[ad.Tensor],
                        rng: np.random.Generator, coords_per_leaf: int = 0,
                        h: float = 1e-5, rel_tol: float = 1e-4,
-                       abs_floor: float = 1e-6) -> int:
-    """Compare taped gradients of ``loss_fn`` against the oracle.
+                       abs_floor: float = 1e-6,
+                       grads: Sequence[np.ndarray] | None = None) -> int:
+    """Compare taped gradients of ``loss_fn``, or the given ``grads`` of it,
+    against the oracle.
 
     Checks every coordinate when ``coords_per_leaf`` is 0, otherwise a random
     sample per leaf. Returns the number of coordinates checked.
     """
-    ad.clear_graph()
-    grads = ad.backward(loss_fn(), wrt=leaves)
-    ad.clear_graph()
+    if grads is None:
+        ad.clear_graph()
+        grads = ad.backward(loss_fn(), wrt=leaves)
+        ad.clear_graph()
     checked = 0
     for leaf, grad in zip(leaves, grads):
         all_coords = list(np.ndindex(leaf.data.shape))

@@ -375,15 +375,22 @@ def assert_field_rejected(tmp_path, capsys, small_data, trained, kind, where, va
 
 class TestImports:
     def test_commands_do_not_import_numpy_ma(self, tmp_path, small_data, train_config):
-        """``np.unique`` imports ``numpy.ma``, which costs every command 11-14 ms
-        and about 1 MB; no train, eval or retrieve path may reach it."""
+        """Each command loads only the modules it runs: ``gen-data`` none of the
+        training or evaluation code, ``train`` no evaluation code. And
+        ``np.unique`` imports ``numpy.ma``, which costs every command 11-14 ms
+        and about 1 MB; no command may reach it."""
         script = "\n".join([
             "import sys",
             "from mkfusion.cli import main",
             "data, config, out = sys.argv[1:]",
+            "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'mkfusion'}",
             "checkpoint = out + '/run/checkpoint.json'",
+            "assert main(['gen-data', '--seed', '3', '--out', out + '/data.json']) == 0",
+            "assert loaded() == {'mkfusion', 'mkfusion.cli', 'mkfusion.config',",
+            "                    'mkfusion.dataset'}, loaded()",
             "assert main(['train', '--data', data, '--config', config,",
             "             '--out', out + '/run']) == 0",
+            "assert 'mkfusion.evaluation' not in loaded(), loaded()",
             "for mode in ('gzsl', 'zsl'):",
             "    assert main(['eval', '--data', data, '--checkpoint', checkpoint,",
             "                 '--mode', mode, '--n-syn', '4', '--out', out + '/' + mode]) == 0",
@@ -551,7 +558,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("problem,name", [("width", "dim mismatch"),
                                               ("split", "seen classes differ"),
-                                              ("pool", "enhanced/species/999")])
+                                              ("pool", "pools/enhanced/species/999")])
     @pytest.mark.parametrize("command", ["train", "eval", "retrieve"])
     def test_checkpoint_must_fit_the_data(self, tmp_path, small_data, trained, capsys,
                                           command, problem, name):

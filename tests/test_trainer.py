@@ -8,6 +8,7 @@ import os
 import re
 import stat
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mkfusion import trainer as tr
 from mkfusion.dataset import (LEVELS, DatasetBundle, SyntheticSpec, compute_visual_centers,
                               encode_array, generate_synthetic, load_bundle, save_bundle)
 from mkfusion.trainer import TrainConfig
+from fd import assert_grads_match
 
 
 def small_config(**overrides):
@@ -358,6 +360,55 @@ class TestObjectives:
         assert len(grads) == len(state.model.params)
         dead = [name for name, p in state.model.params.items() if not grads[id(p)].any()]
         assert dead == ["discriminator/b_real"]
+
+    @pytest.mark.parametrize("fusion_mode", ["adaptive", "summing"])
+    def test_descended_gradients_match_finite_differences(self, monkeypatch, fusion_mode):
+        """The gradient each optimizer gets from ``descend`` is that of its
+        ``OBJECTIVES`` sum, by central differences through the session's own
+        steps, batch and pool draws included; summing mode trains no fusion
+        network. The pools are filled first, and the session's RNG is
+        re-seeded before each evaluation, so every one draws alike."""
+        bundle = generate_synthetic(SyntheticSpec(
+            families=2, genera_per_family=2, species_per_genus=3, samples_per_species=4,
+            visual_dim=6, semantic_dim=5), seed=3)
+        config = TrainConfig(steps=12, kappa1=0.3, kappa2=0.2, batch_size=8, noise_dim=3,
+                             gen_hidden=8, disc_hidden=(8, 6), fusion_hidden=5,
+                             fusion_mode=fusion_mode)
+        session = tr._Session(bundle, tr.train(config, bundle).state)
+        assert session.pools.enhanced.size > 0 and session.pools.novel.size > 0
+        grads, sums = {}, {}
+        for group, opt in session.optimizers.items():
+            monkeypatch.setattr(opt, "step", functools.partial(grads.__setitem__, group))
+        monkeypatch.setattr(ad, "clip_weights", lambda params, c: None)
+        steps = {"discriminator": session.discriminator_step,
+                 "generators": session.generator_fusion_step,
+                 "fusion": session.generator_fusion_step}
+
+        def run(step):
+            session.rng = np.random.default_rng(7)
+            step()
+
+        run(session.discriminator_step)
+        run(session.generator_fusion_step)
+        trained = ["discriminator", "generators"] + ["fusion"] * (fusion_mode == "adaptive")
+        assert list(grads) == trained
+
+        def summed(terms, *groups):
+            """``descend``'s sums alone, for evaluations under ``no_grad``."""
+            sums.update({g: functools.reduce(ad.add, [terms[n] for n in tr.OBJECTIVES[g]])
+                         for g in groups})
+            return sums
+
+        def group_sum(group):
+            run(steps[group])
+            return sums[group]
+
+        monkeypatch.setattr(session, "descend", summed)
+        rng = np.random.default_rng(zlib.crc32(fusion_mode.encode()))
+        for group in trained:
+            assert assert_grads_match(functools.partial(group_sum, group),
+                                      session.optimizers[group].params, rng,
+                                      coords_per_leaf=6, grads=grads[group]) > 40
 
 
 class TestTape:
