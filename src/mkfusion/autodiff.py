@@ -40,53 +40,46 @@ class Tensor:
     """A dense real-valued array, stored row-major in float64.
 
     A tensor built from caller data must be finite; op outputs are built
-    without that scan. Whether an op on it is taped depends only on
-    ``no_grad``, and which tensors are differentiated only on ``backward``'s
-    ``wrt``. Each assignment to ``data`` (``p.data -= step`` too) bumps
-    ``version``, so ``backward`` can refuse a node whose tensors changed after
-    it was recorded; the ops read the ``_data`` slot directly.
+    without that scan. The caller's array is not copied. Whether an op on it
+    is taped depends only on ``no_grad``, and which tensors are differentiated
+    only on ``backward``'s ``wrt``. Recording an op makes the arrays it read
+    and wrote read-only, so a tensor's taped data changes only by assigning a
+    new array to ``data``, which ``backward`` then refuses to replay.
     """
 
-    __slots__ = ("_data", "version")
+    __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("tensor data contains non-finite entries")
-        self._data = arr
-        self.version = 0
-
-    @property
-    def data(self) -> Array:
-        return self._data
-
-    @data.setter
-    def data(self, value: Array) -> None:
-        self._data = value
-        self.version += 1
+        self.data = arr
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._data.shape
+        return self.data.shape
 
     @property
     def ndim(self) -> int:
-        return self._data.ndim
+        return self.data.ndim
 
     def item(self) -> float:
-        return float(self._data)
+        return float(self.data)
 
 
 class _Node:
-    """One recorded operation: inputs, output, vjp, and the inputs' versions."""
+    """One recorded operation: inputs, output, vjp, and the arrays the inputs
+    and the output held when it was recorded, now read-only."""
 
-    __slots__ = ("inputs", "output", "vjp", "versions")
+    __slots__ = ("inputs", "output", "vjp", "arrays")
 
     def __init__(self, inputs: tuple[Tensor, ...], output: Tensor, vjp: Vjp):
         self.inputs = inputs
         self.output = output
         self.vjp = vjp
-        self.versions = [t.version for t in inputs]
+        self.arrays = [t.data for t in (*inputs, output)]
+        for arr in self.arrays:
+            arr.setflags(write=False)
 
 
 # Append-only record of the forward pass; acyclic because inputs precede outputs.
@@ -114,15 +107,14 @@ def no_grad():
         _grad_enabled = previous
 
 
-def _record(inputs: tuple[Tensor, ...], out_data: Array, vjp: Vjp) -> Tensor:
-    # ``out_data`` is float64 computed from checked tensors, so the output
+def _record(inputs: tuple[Tensor, ...], value: Array, vjp: Vjp) -> Tensor:
+    # ``value`` is float64 computed from checked tensors, so the output
     # skips ``Tensor.__init__``'s conversion and finiteness scan. Arithmetic
     # on 0-d arrays yields a numpy scalar, which is wrapped back into one.
-    if type(out_data) is not np.ndarray:
-        out_data = np.asarray(out_data)
+    if type(value) is not np.ndarray:
+        value = np.asarray(value)
     out = object.__new__(Tensor)
-    out._data = out_data
-    out.version = 0
+    out.data = value
     if _grad_enabled:
         _graph.append(_Node(inputs, out, vjp))
     return out
@@ -141,9 +133,9 @@ def matmul(a: Tensor, b: Tensor, *, bias: Tensor) -> Tensor:
     """``a @ b`` with ``bias`` added to every row: one dense layer, one node."""
     _require_shape(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[0]
                    and bias.shape == (b.shape[1],), "matmul", a.shape, b.shape, bias.shape)
-    ad, bd = a._data, b._data
+    ad, bd = a.data, b.data
     out = ad @ bd
-    out += bias._data  # in place on the fresh product, before it is recorded
+    out += bias.data  # in place on the fresh product, before it is recorded
 
     def vjp(g: Array, need):
         return (g @ bd.T if need[0] else None, ad.T @ g if need[1] else None,
@@ -155,19 +147,19 @@ def matmul(a: Tensor, b: Tensor, *, bias: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     # Equal shapes only: a dense layer's bias is added by ``matmul``.
     _require_shape(a.shape == b.shape, "add", a.shape, b.shape)
-    return _record((a, b), a._data + b._data,
+    return _record((a, b), a.data + b.data,
                    lambda g, need: (g if need[0] else None, g if need[1] else None))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_shape(a.shape == b.shape, "sub", a.shape, b.shape)
-    return _record((a, b), a._data - b._data,
+    return _record((a, b), a.data - b.data,
                    lambda g, need: (g if need[0] else None, -g if need[1] else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     # Equal shapes, or matrix * column vector (each row scaled by one entry).
-    ad, bd = a._data, b._data
+    ad, bd = a.data, b.data
     if a.shape == b.shape:
         return _record((a, b), ad * bd, lambda g, need: (g * bd if need[0] else None,
                                                          g * ad if need[1] else None))
@@ -182,7 +174,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _require_shape(a.shape == b.shape, "div", a.shape, b.shape)
-    ad, bd = a._data, b._data
+    ad, bd = a.data, b.data
 
     def vjp(g: Array, need):
         return g / bd if need[0] else None, -g * ad / (bd * bd) if need[1] else None
@@ -192,37 +184,37 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 def scalar_mul(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _record((a,), a._data * c, lambda g, need: (g * c,))
+    return _record((a,), a.data * c, lambda g, need: (g * c,))
 
 
 def reduce_mean(a: Tensor) -> Tensor:
-    n = a._data.size
+    n = a.data.size
     shape = a.shape
-    return _record((a,), np.asarray(a._data.mean()),
+    return _record((a,), np.asarray(a.data.mean()),
                    lambda g, need: (np.full(shape, g / n),))
 
 
 def reduce_sum(a: Tensor) -> Tensor:
     shape = a.shape
-    return _record((a,), np.asarray(a._data.sum()),
+    return _record((a,), np.asarray(a.data.sum()),
                    lambda g, need: (np.full(shape, g),))
 
 
 def square(a: Tensor) -> Tensor:
-    ad = a._data
+    ad = a.data
     return _record((a,), ad * ad, lambda g, need: (2.0 * ad * g,))
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a._data <= 0.0):
+    if np.any(a.data <= 0.0):
         raise ValueError("log: input must be strictly positive")
-    ad = a._data
+    ad = a.data
     return _record((a,), np.log(ad), lambda g, need: (g / ad,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    e = np.exp(-np.abs(a._data))
-    out = np.where(a._data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.exp(-np.abs(a.data))
+    out = np.where(a.data >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _record((a,), out, lambda g, need: (g * out * (1.0 - out),))
 
 
@@ -230,7 +222,7 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     """x where x > 0, else alpha * x; ``alpha`` must lie in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"leaky_relu: alpha must lie in [0, 1], got {alpha!r}")
-    ad = a._data
+    ad = a.data
     # For 0 <= alpha <= 1 the larger of x and alpha*x is the leaky-relu, and the
     # larger of sign(x) and alpha is its slope (alpha at x = 0).
     return _record((a,), np.maximum(ad, alpha * ad),
@@ -240,7 +232,7 @@ def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
 def softmax(a: Tensor) -> Tensor:
     """Row-wise softmax of a 2-D tensor; rows are strictly positive and sum to 1."""
     _require_shape(a.ndim == 2, "softmax", a.shape)
-    shifted = a._data - a._data.max(axis=1, keepdims=True)
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
 
@@ -254,7 +246,7 @@ def softmax(a: Tensor) -> Tensor:
 def l2_squared_distance(a: Tensor, b: Tensor) -> Tensor:
     """Total squared distance sum((a - b)^2) over all entries, as a scalar."""
     _require_shape(a.shape == b.shape, "l2_squared_distance", a.shape, b.shape)
-    diff = a._data - b._data
+    diff = a.data - b.data
 
     def vjp(g: Array, need):
         return 2.0 * diff * g if need[0] else None, -2.0 * diff * g if need[1] else None
@@ -271,7 +263,7 @@ def cross_entropy_with_logits(logits: Tensor, labels: Array) -> Tensor:
         raise ValueError(f"cross_entropy_with_logits: expected {n} labels, got {labels.shape}")
     if np.any(labels < 0) or np.any(labels >= k):
         raise ValueError("cross_entropy_with_logits: label out of range")
-    x = logits._data
+    x = logits.data
     xmax = x.max(axis=1, keepdims=True)
     lse = xmax[:, 0] + np.log(np.exp(x - xmax).sum(axis=1))
     picked = x[np.arange(n), labels]
@@ -289,7 +281,7 @@ def cross_entropy_with_logits(logits: Tensor, labels: Array) -> Tensor:
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
     """Cosine of the angle between two 1-D vectors, as a scalar in [-1, 1]."""
     _require_shape(a.ndim == 1 and a.shape == b.shape, "cosine_similarity", a.shape, b.shape)
-    ad, bd = a._data, b._data
+    ad, bd = a.data, b.data
     na = float(np.linalg.norm(ad))
     nb = float(np.linalg.norm(bd))
     if na == 0.0 or nb == 0.0:
@@ -354,7 +346,7 @@ def backward(loss: Tensor, *, wrt: Sequence[Tensor]) -> list[Array]:
         g = pending.pop(id(node.output), None)
         if g is None:
             continue
-        if node.output.version or [t.version for t in node.inputs] != node.versions:
+        if any(t.data is not arr for t, arr in zip((*node.inputs, node.output), node.arrays)):
             raise ValueError(f"backward: a tensor of a taped op (output shape "
                              f"{node.output.shape}) was changed after the op was recorded")
         need = tuple(id(t) in live for t in node.inputs)
@@ -381,7 +373,8 @@ class AdamState:
     """Adam with bias correction over a fixed parameter list.
 
     First and second moment arrays track the parameters positionally and are
-    updated in place; the step count increases by one per ``step`` call.
+    updated in place; each parameter is assigned a new array. The step count
+    increases by one per ``step`` call.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
@@ -401,9 +394,10 @@ class AdamState:
         self.step_count += 1
         t = self.step_count
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        # In place, keeping the operation order (and so the bits) of
+        # m and v in place and p as a new array (a taped one is read-only),
+        # keeping the operation order (and so the bits) of
         #   m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
-        #   p -= (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
+        #   p = p - (lr * (m / (1-b1**t))) / (sqrt(v / (1-b2**t)) + eps)
         for p, m, v, g in zip(self.params, self.m, self.v, grads):
             m *= b1
             m += (1.0 - b1) * g
@@ -416,7 +410,7 @@ class AdamState:
             denom = np.sqrt(v / (1.0 - b2 ** t))
             denom += ADAM_EPS
             update /= denom
-            p.data -= update
+            p.data = np.asarray(p.data - update)  # a 0-d difference is a numpy scalar
 
 
 def clip_weights(params: Iterable[Tensor], c: float) -> None:

@@ -360,7 +360,7 @@ def decode_array(entry, path: str, shape: tuple | None = None) -> Array:
         raise ValueError(f"{path}: {len(raw)} bytes do not fill shape {tuple(dims)} "
                          f"of float64 ({size} bytes)")
     # frombuffer gives a read-only view of ``raw``; astype copies it into an
-    # array of its own, which in-place updates (Adam on a resumed run) need.
+    # array of its own, which the caller may write before any op records it.
     array = np.frombuffer(raw, dtype="<f8").reshape(dims).astype(np.float64)
     if not np.isfinite(array).all():
         raise ValueError(f"{path}: non-finite value")

@@ -15,14 +15,23 @@ from mkfusion import autodiff as ad
 
 def fd_gradient(loss_fn: Callable[[], ad.Tensor], leaf: ad.Tensor,
                 index: tuple[int, ...], h: float = 1e-5) -> float:
-    """d(loss)/d(leaf[index]) by central differences around the current value."""
-    original = leaf.data[index]
-    with ad.no_grad():
-        leaf.data[index] = original + h
-        f_plus = loss_fn().item()
-        leaf.data[index] = original - h
-        f_minus = loss_fn().item()
-    leaf.data[index] = original
+    """d(loss)/d(leaf[index]) by central differences around the current value.
+
+    The leaf's array may be read-only (an op has recorded it), so the leaf
+    holds a perturbed copy while the loss is evaluated, and its original
+    array object afterwards.
+    """
+    original = leaf.data
+    perturbed = original.copy()
+    try:
+        with ad.no_grad():
+            leaf.data = perturbed
+            perturbed[index] = original[index] + h
+            f_plus = loss_fn().item()
+            perturbed[index] = original[index] - h
+            f_minus = loss_fn().item()
+    finally:
+        leaf.data = original
     return (f_plus - f_minus) / (2.0 * h)
 
 

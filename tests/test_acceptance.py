@@ -147,7 +147,7 @@ class TestCriterion2FusionWeights:
         source = model.fusion.layers["species"]
         for level in ("genus", "family"):
             for key, tensor in model.fusion.layers[level].items():
-                tensor.data[...] = source[key].data
+                tensor.data = source[key].data.copy()
         shared = ad.Tensor(rng.normal(0, 1, (1000, 8)))
         same = {level: shared for level in LEVELS}
         fused, weights = mdl.fuse(model.fusion, same)

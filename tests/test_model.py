@@ -223,7 +223,7 @@ class TestLosses:
         batch = Tensor(np.random.default_rng(12).normal(0, 1, (4, 6)))
         labels = np.zeros(4, dtype=np.int64)
         before = mdl.adversarial_and_classification(m.discriminator, batch, labels).item()
-        m.discriminator.params["b_real"].data += 1.0
+        m.discriminator.params["b_real"].data = m.discriminator.params["b_real"].data + 1.0
         after = mdl.adversarial_and_classification(m.discriminator, batch, labels).item()
         assert after == pytest.approx(before - 1.0)
 
