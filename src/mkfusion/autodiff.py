@@ -40,17 +40,19 @@ class Tensor:
     """A dense real-valued array, stored row-major in float64.
 
     A tensor built from caller data must be finite; op outputs are built
-    without that scan. The caller's array is not copied. Whether an op on it
-    is taped depends only on ``no_grad``, and which tensors are differentiated
-    only on ``backward``'s ``wrt``. Recording an op makes the arrays it read
-    and wrote read-only, so a tensor's taped data changes only by assigning a
-    new array to ``data``, which ``backward`` then refuses to replay.
+    without that scan. It holds the caller's array, or a copy of it if that
+    array is a view of another's memory. Whether an op on it is taped depends
+    only on ``no_grad``, and which tensors are differentiated only on
+    ``backward``'s ``wrt``. Recording an op makes the arrays it read and wrote
+    read-only, so taped data changes only by assigning a new array to
+    ``data``, which ``backward`` then refuses to replay.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
+        arr = arr if arr.base is None else arr.copy()
         if not np.isfinite(arr).all():
             raise ValueError("tensor data contains non-finite entries")
         self.data = arr

@@ -9,6 +9,7 @@ import json
 import math
 import operator
 import os
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -309,24 +310,28 @@ def _is_kind(value, kind) -> bool:
     return fits(value, kind())
 
 
-def require_field(mapping, path: str, kind=None):
-    """The field at ``path``, slash-separated from the file's root: ``mapping``'s
-    entry under the last segment, checked to be a ``kind`` (a key of ``_KINDS``) when given."""
+def require_fields(mapping, path: str, kinds: dict) -> dict:
+    """The fields of the object ``mapping`` at ``path`` (``""`` for the file's
+    root) by name, in ``kinds`` order: exactly the names in ``kinds``, each of
+    its kind (a key of ``_KINDS``; ``None`` where the caller checks the value).
+    A missing field is named before an unknown one."""
+    prefix = f"{path}/" if path else ""
     if not isinstance(mapping, dict):
-        raise ValueError(f"expected an object holding field {path!r}, "
+        raise ValueError(f"expected an object holding field {prefix + next(iter(kinds))!r}, "
                          f"got {mapping!r:.40}")
-    name = path.rpartition("/")[2]
-    if name not in mapping:
-        raise ValueError(f"missing field: {path}")
-    value = mapping[name]
-    if kind is not None and not _is_kind(value, kind):
-        raise ValueError(f"field {path!r} must be {_KINDS[kind]}, got {value!r:.40}")
-    return value
+    problems = ([f"missing field: {prefix}{name}" for name in kinds if name not in mapping]
+                + [f"unknown field: {prefix}{key}" for key in mapping if key not in kinds])
+    if problems:
+        raise ValueError(problems[0])
+    for name, kind in kinds.items():
+        if kind is not None and not _is_kind(mapping[name], kind):
+            raise ValueError(f"field {prefix + name!r} must be {_KINDS[kind]}, "
+                             f"got {mapping[name]!r:.40}")
+    return {name: mapping[name] for name in kinds}
 
 
-def require_count(mapping, path: str, least: int) -> int:
-    """The integer field at ``path``, which must be at least ``least``."""
-    value = require_field(mapping, path, int)
+def require_count(value: int, path: str, least: int) -> int:
+    """``value``, the integer field at ``path``, which must be at least ``least``."""
     if value < least:
         raise ValueError(f"{path} must be at least {least}, got {value}")
     return value
@@ -343,8 +348,7 @@ def decode_array(entry, path: str, shape: tuple | None = None) -> Array:
     """The float64 array stored by ``encode_array`` at ``path``, as a new
     writable array. ``shape``, when given, is the expected shape, with
     ``None`` for an axis of any length."""
-    dims = require_field(entry, f"{path}/shape", list)
-    text = require_field(entry, f"{path}/f64", str)
+    dims, text = require_fields(entry, path, {"shape": list, "f64": str}).values()
     if not all(_is_kind(n, int) and n >= 0 for n in dims):
         raise ValueError(f"{path}: shape must be a list of non-negative integers, "
                          f"got {dims!r:.40}")
@@ -367,16 +371,35 @@ def decode_array(entry, path: str, shape: tuple | None = None) -> Array:
     return array
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``pairs`` as a dict; a key given twice is an error."""
+    repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+    if repeated:
+        raise ValueError(f"repeated key {repeated[0]!r}")
+    return dict(pairs)
+
+
 def read_json_object(path: str, what: str) -> dict:
-    """The JSON object in ``path``; ``what`` names the file in errors."""
+    """The JSON object in ``path``, no key repeated; ``what`` names the file in errors."""
     with open(path) as handle:
         try:
-            document = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            document = json.load(handle, object_pairs_hook=_unique_keys)
+        except ValueError as err:
             raise ValueError(f"malformed {what} {path}: {err}") from None
     if not isinstance(document, dict):
         raise ValueError(f"{what} {path} must hold a JSON object")
     return document
+
+
+def read_document(path: str, what: str, version: int, kinds: dict) -> dict:
+    """The root fields of the ``what`` file at ``path``, by ``require_fields``;
+    ``format_version`` is checked first, alone, so another version stops there."""
+    document = read_json_object(path, what)
+    found = require_fields(document, "", {**dict.fromkeys(document), "format_version": int})
+    if found["format_version"] != version:
+        raise ValueError(f"{what} version mismatch: found {found['format_version']}, "
+                         f"expected {version}")
+    return require_fields(document, "", {"format_version": int, **kinds})
 
 
 def _atomic_write_chunks(path: str, chunks) -> None:
@@ -443,29 +466,24 @@ def save_bundle(bundle: DatasetBundle, path: str) -> None:
 
 
 def load_bundle(path: str) -> DatasetBundle:
-    document = read_json_object(path, "dataset file")
-    version = require_field(document, "format_version", int)
-    if version != BUNDLE_VERSION:
-        raise ValueError(f"dataset file version mismatch: found {version}, "
-                         f"expected {BUNDLE_VERSION}")
-    classes, samples, splits = (require_field(document, name, dict)
-                                for name in ("classes", "samples", "splits"))
-    columns = {f"{level}_id": require_field(classes, f"classes/{level}_id", list[int])
-               for level in LEVELS}
-    columns["name"] = require_field(classes, "classes/name", list[str])
-    columns["semantic"] = decode_array(require_field(classes, "classes/semantic"),
-                                       "classes/semantic", shape=(None, None))
+    kinds = {"classes": {**{f"{level}_id": list[int] for level in LEVELS},
+                         "name": list[str], "semantic": None},
+             "samples": {"species_id": list[int], "visual": None},
+             "splits": {"seen": list[int], "unseen": list[int]}}
+    document = read_document(path, "dataset file", BUNDLE_VERSION, dict.fromkeys(kinds, dict))
+    columns, samples, splits = (require_fields(document[name], name, fields)
+                                for name, fields in kinds.items())
+    columns["semantic"] = decode_array(columns["semantic"], "classes/semantic",
+                                       shape=(None, None))
     n = len(columns["species_id"])
     for name, column in columns.items():
         if len(column) != n:
             raise ValueError(f"classes/{name} has {len(column)} entries, but "
                              f"classes/species_id has {n}")
-    species = require_field(samples, "samples/species_id", list[int])
-    visuals = decode_array(require_field(samples, "samples/visual"), "samples/visual",
-                           shape=(len(species), None))
+    species = samples["species_id"]
+    visuals = decode_array(samples["visual"], "samples/visual", shape=(len(species), None))
     taxonomy = np.array([columns[f"{level}_id"] for level in LEVELS], dtype=np.int64).T
     return DatasetBundle(taxonomy=taxonomy, names=columns["name"],
                          semantics=columns["semantic"], sample_species=species,
-                         sample_visuals=visuals,
-                         seen_ids=require_field(splits, "splits/seen", list[int]),
-                         unseen_ids=require_field(splits, "splits/unseen", list[int]))
+                         sample_visuals=visuals, seen_ids=splits["seen"],
+                         unseen_ids=splits["unseen"])

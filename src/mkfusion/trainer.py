@@ -15,12 +15,12 @@ from . import genetics as gn
 from . import model as mdl
 from .config import TrainConfig
 from .dataset import (LEVELS, DatasetBundle, atomic_write_json, compute_visual_centers,
-                      csv_text, decode_array, derive_knowledge_datasets, read_json_object,
-                      require_count, require_field)
+                      csv_text, decode_array, derive_knowledge_datasets, read_document,
+                      require_count, require_fields)
 
 Array = np.ndarray
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # A checkpoint's Adam names -> the parameter-name prefix each optimizer updates.
 ADAM_GROUPS = {"discriminator": "discriminator/", "generators": "generator/",
                "fusion": "fusion/"}
@@ -283,9 +283,7 @@ def save_checkpoint(path: str, state: CheckpointData) -> None:
         "loop_index": state.loop_index,
         "rng_state": state.rng.bit_generator.state,
         "seen_species": state.seen_species,
-        "dims": {"visual": state.model.visual_dim,
-                 "semantic": state.model.semantic_dim,
-                 "n_classes": state.model.n_classes},
+        "dims": {"visual": state.model.visual_dim, "semantic": state.model.semantic_dim},
         "params": {name: p.data for name, p in state.model.params.items()},
         "adam": {name: {"step_count": opt.step_count, "m": opt.m, "v": opt.v}
                  for name, opt in state.optimizers.items()},
@@ -297,70 +295,52 @@ _ENHANCED_KEY = re.compile(f"enhanced/({'|'.join(LEVELS)})/(0|[1-9][0-9]*)")
 
 
 def restore_checkpoint(path: str) -> CheckpointData:
-    document = read_json_object(path, "checkpoint")
-    version = require_field(document, "format_version", int)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"checkpoint version mismatch: found {version}, "
-                         f"expected {CHECKPOINT_VERSION}")
-    config_doc = require_field(document, "config", dict)
-    names = [f.name for f in fields(TrainConfig)]
-    unknown = sorted(set(config_doc) - set(names))
-    missing = [name for name in names if name not in config_doc]
-    problems = ([f"unknown key {k!r}" for k in unknown]
-                + [f"missing key {k!r}" for k in missing])
-    if problems:
-        raise ValueError(f"checkpoint {path} config: {', '.join(problems)}")
+    document = read_document(path, "checkpoint", CHECKPOINT_VERSION, {
+        "config": dict, "loop_index": int, "rng_state": dict, "seen_species": list[int],
+        "dims": dict, "params": dict, "adam": dict, "pools": dict})
+    config_doc = require_fields(document["config"], "config",
+                                dict.fromkeys(f.name for f in fields(TrainConfig)))
     try:
         config = TrainConfig(**config_doc)
     except ValueError as err:
         raise ValueError(f"checkpoint {path} config: {err}") from None
-    dims = require_field(document, "dims", dict)
-    visual, semantic, n_classes = (require_count(dims, f"dims/{name}", 1)
-                                   for name in ("visual", "semantic", "n_classes"))
-    seen_species = require_field(document, "seen_species", list[int])
-    if n_classes != len(seen_species):
-        raise ValueError(f"dims/n_classes is {n_classes}, but "
-                         f"seen_species lists {len(seen_species)} species")
-    model = mdl.FusionGan(config, visual, semantic, n_classes)
-    stored = require_field(document, "params", dict)
-    # Parameter names hold slashes, so they are not read by ``require_field``.
-    for name in [*model.params, *stored]:
-        if (name in stored) != (name in model.params):
-            raise ValueError(f"{'unknown' if name in stored else 'missing'} field: params/{name}")
+    dims = require_fields(document["dims"], "dims", {"visual": int, "semantic": int})
+    visual, semantic = (require_count(n, f"dims/{name}", 1) for name, n in dims.items())
+    model = mdl.FusionGan(config, visual, semantic, len(document["seen_species"]))
+    stored = require_fields(document["params"], "params", dict.fromkeys(model.params))
     for name, p in model.params.items():
         p.data = decode_array(stored[name], f"params/{name}", p.shape)
-    adam_doc = require_field(document, "adam", dict)
+    adam_doc = require_fields(document["adam"], "adam", dict.fromkeys(ADAM_GROUPS, dict))
     optimizers = build_optimizers(model, config.learning_rate)
     for group, opt in optimizers.items():
-        state = require_field(adam_doc, f"adam/{group}", dict)
-        opt.step_count = require_count(state, f"adam/{group}/step_count", 0)
+        state = require_fields(adam_doc[group], f"adam/{group}",
+                               {"step_count": int, "m": list, "v": list})
+        opt.step_count = require_count(state["step_count"], f"adam/{group}/step_count", 0)
         for key in ("m", "v"):
-            entries = require_field(state, f"adam/{group}/{key}", list)
-            moments = getattr(opt, key)
+            entries, moments = state[key], getattr(opt, key)
             if len(entries) != len(moments):
                 raise ValueError(f"adam/{group}/{key}: {len(entries)} arrays for "
                                  f"{len(moments)} parameters")
             # Into the optimizer's own zeroed arrays, so no second set is held.
             for i, (entry, moment) in enumerate(zip(entries, moments)):
                 moment[...] = decode_array(entry, f"adam/{group}/{key}/{i}", moment.shape)
-    pools_doc = require_field(document, "pools", dict)
+    pools_doc = require_fields(document["pools"], "pools", dict.fromkeys(
+        ["novel", *filter(_ENHANCED_KEY.fullmatch, document["pools"])]))
     rows = (None, model.semantic_dim)
     pools = gn.Pools()
-    pools.novel.vectors = list(decode_array(require_field(pools_doc, "pools/novel"),
-                                            "pools/novel", rows))
+    pools.novel.vectors = list(decode_array(pools_doc.pop("novel"), "pools/novel", rows))
     for key, entry in pools_doc.items():
-        match = _ENHANCED_KEY.fullmatch(key)
-        if match:
-            pools.enhanced.entries[(match[1], int(match[2]))] = list(
-                decode_array(entry, f"pools/{key}", rows))
-        elif key != "novel":
-            raise ValueError(f"unknown field: pools/{key}")
-    rng_state = require_field(document, "rng_state", dict)
+        level, class_id = _ENHANCED_KEY.fullmatch(key).groups()
+        pools.enhanced.entries[(level, int(class_id))] = list(
+            decode_array(entry, f"pools/{key}", rows))
     rng = np.random.default_rng()
+    fresh = rng.bit_generator.state
+    rng_state = require_fields(document["rng_state"], "rng_state", dict.fromkeys(fresh))
+    require_fields(rng_state["state"], "rng_state/state", dict.fromkeys(fresh["state"]))
     try:
         rng.bit_generator.state = rng_state
     except (TypeError, ValueError, KeyError, OverflowError) as err:
         raise ValueError(f"checkpoint rng_state: {err!r}") from None
-    return CheckpointData(config=config, model=model, pools=pools,
-                          loop_index=require_count(document, "loop_index", 0),
-                          rng=rng, optimizers=optimizers, seen_species=seen_species)
+    return CheckpointData(config=config, model=model, pools=pools, rng=rng,
+                          loop_index=require_count(document["loop_index"], "loop_index", 0),
+                          optimizers=optimizers, seen_species=document["seen_species"])

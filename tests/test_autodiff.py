@@ -374,6 +374,17 @@ class TestTapeVersions:
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 5.0
 
+    def test_caller_view_is_copied(self):
+        """A view of the caller's array is copied, so a later write through
+        its base changes neither the tensor nor the gradient the tape gives."""
+        base = np.array([[1.0, 2.0], [3.0, 4.0]])
+        x = ad.Tensor(base[0])
+        loss = ad.reduce_sum(ad.square(x))
+        base[0, 0] = 5.0
+        assert loss.item() == 5.0
+        assert ad.backward(loss, wrt=[x])[0].tolist() == [2.0, 4.0]
+        assert x.data.tolist() == [1.0, 2.0]
+
     def test_untaped_data_stays_writable(self):
         never, under = t([[1.0, 2.0]]), t([[3.0, 4.0]])
         with ad.no_grad():

@@ -343,6 +343,19 @@ BAD_FIELDS = [
 ]
 
 
+# Every object of both files, by its path from the file's root: (file, path).
+FILE_OBJECTS = [
+    ("bundle", ()), ("bundle", ("classes",)), ("bundle", ("classes", "semantic")),
+    ("bundle", ("samples",)), ("bundle", ("samples", "visual")), ("bundle", ("splits",)),
+    ("checkpoint", ()), ("checkpoint", ("config",)), ("checkpoint", ("dims",)),
+    ("checkpoint", ("params",)), ("checkpoint", ("params", "fusion/genus/w1")),
+    ("checkpoint", ("adam",)), ("checkpoint", ("adam", "fusion")),
+    ("checkpoint", ("adam", "fusion", "m", 0)), ("checkpoint", ("pools",)),
+    ("checkpoint", ("pools", "novel")), ("checkpoint", ("rng_state",)),
+    ("checkpoint", ("rng_state", "state")),
+]
+
+
 # A checkpoint field set to an integer out of its range, with the name the
 # error line must give: (path to the field, value, name).
 OUT_OF_RANGE_FIELDS = [
@@ -350,7 +363,6 @@ OUT_OF_RANGE_FIELDS = [
     (("adam", "fusion", "step_count"), -1, "adam/fusion/step_count"),
     (("dims", "visual"), -6, "dims/visual"),
     (("dims", "semantic"), 0, "dims/semantic"),
-    (("dims", "n_classes"), 0, "dims/n_classes"),
     (("config", "gen_hidden"), 0, "bad-checkpoint.json config: gen_hidden"),
     (("config", "seed"), -1, "seed"),
 ]
@@ -594,11 +606,9 @@ class TestBadInput:
     def test_class_count_must_match_seen_species(self, tmp_path, small_data, trained,
                                                  capsys, command):
         """A class head three rows wider than the seen split, with every array
-        that holds a class row padded to match, is still rejected."""
+        that holds a class row padded to match, stops on the class head's
+        shape: the model is built with one class per seen species."""
         document = json.loads((trained / "checkpoint.json").read_text())
-        n_classes = document["dims"]["n_classes"]
-        assert n_classes == len(document["seen_species"])
-        document["dims"]["n_classes"] = n_classes + 3
 
         def padded(entry):
             a = decode_array(entry, "array")
@@ -616,7 +626,51 @@ class TestBadInput:
         inputs = (["--resume", bad, "--steps", 3] if command == "train"
                   else ["--checkpoint", bad])
         assert_rejected(tmp_path, capsys, command, ["--data", small_data, *inputs],
-                        "dims/n_classes")
+                        "params/discriminator/w_cls: shape")
+
+    @pytest.mark.parametrize("kind,where", FILE_OBJECTS,
+                             ids=[f"{kind}-{'/'.join(map(str, where)) or 'root'}"
+                                  for kind, where in FILE_OBJECTS])
+    def test_unknown_field_rejected(self, tmp_path, small_data, trained, capsys, kind,
+                                    where):
+        """A key added to any object of either file stops the command that
+        reads the file on one line naming the key by its path."""
+        path = "/".join(map(str, (*where, "bogus")))
+        line = assert_field_rejected(tmp_path, capsys, small_data, trained, kind,
+                                     (*where, "bogus"), 1, path)
+        assert line == f"error: unknown field: {path}"
+
+    @pytest.mark.parametrize("kind,what,key,value", [
+        ("config", "config file", "steps", 0), ("bundle", "dataset file", "seen", []),
+        ("checkpoint", "checkpoint", "loop_index", 0)], ids=["config", "bundle", "checkpoint"])
+    def test_repeated_key_rejected(self, tmp_path, small_data, train_config, trained,
+                                   capsys, kind, what, key, value):
+        """A key given twice in one object of a config, dataset or checkpoint
+        file stops the command on one line naming the file and the key."""
+        source = {"config": train_config, "bundle": small_data,
+                  "checkpoint": trained / "checkpoint.json"}[kind]
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_text(source.read_text().replace(
+            f'"{key}": ', f'"{key}": {json.dumps(value)}, "{key}": ', 1))
+        inputs = {"config": ["--data", small_data, "--config", bad],
+                  "bundle": ["--data", bad],
+                  "checkpoint": ["--data", small_data, "--checkpoint", bad]}[kind]
+        line = assert_rejected(tmp_path, capsys, "eval" if kind == "checkpoint" else "train",
+                               inputs, key)
+        assert line == f"error: malformed {what} {bad}: repeated key {key!r}"
+
+    def test_format_3_checkpoint_stops_on_the_version(self, tmp_path, small_data, trained,
+                                                       capsys):
+        """A checkpoint of the previous format, whose ``dims`` also held
+        ``n_classes``, stops on the version line, before any field."""
+        document = json.loads((trained / "checkpoint.json").read_text())
+        document["format_version"] = 3
+        document["dims"]["n_classes"] = len(document["seen_species"])
+        bad = tmp_path / "v3-checkpoint.json"
+        bad.write_text(json.dumps(document))
+        line = assert_rejected(tmp_path, capsys, "eval",
+                               ["--data", small_data, "--checkpoint", bad], "version")
+        assert line == "error: checkpoint version mismatch: found 3, expected 4"
 
     @pytest.mark.parametrize("mode,name", [("zsl", "unseen evaluation set"),
                                            ("gzsl", "both evaluation sets")])

@@ -68,9 +68,7 @@ def one_shot_checkpoint_text(state):
         "loop_index": state.loop_index,
         "rng_state": state.rng.bit_generator.state,
         "seen_species": state.seen_species,
-        "dims": {"visual": state.model.visual_dim,
-                 "semantic": state.model.semantic_dim,
-                 "n_classes": state.model.n_classes},
+        "dims": {"visual": state.model.visual_dim, "semantic": state.model.semantic_dim},
         "params": {name: encode_array(p.data)
                    for name, p in state.model.params.items()},
         "adam": adam,
